@@ -65,9 +65,4 @@ from .oracle import (
     brute_minimum_separators,
     random_graph,
 )
-from .ranked import (
-    iter_minimum_separators,
-    iter_ranked_separators,
-    minimum_separators,
-    ranked_separators,
-)
+from .ranked import iter_minimum_separators, iter_ranked_separators

@@ -54,7 +54,7 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
     return min_separator_between(G, R, term.s, "furthest") == members
 
 
-def _candidates(masks, n, src_mask: int, sink: int, removed: int, budget: int,
+def _candidates(G: Graph, src_mask: int, sink: int, removed: int, budget: int,
                 committed: int, out: set[int]) -> None:
     """Two-way branching over cut vertices of the extremal minimum cut.
 
@@ -63,9 +63,10 @@ def _candidates(masks, n, src_mask: int, sink: int, removed: int, budget: int,
     where the source side is already disconnected from the sink yield the
     committed vertices as a candidate.
     """
+    masks = G.masks
     if _nbr_mask(masks, src_mask & ~removed) & ~removed & (1 << sink):
         return
-    net = _min_cut(masks, n, src_mask, sink, removed)
+    net = _min_cut(G, _bits(src_mask), sink, _bits(removed))
     if net.value == 0:
         out.add(committed)
         return
@@ -73,10 +74,10 @@ def _candidates(masks, n, src_mask: int, sink: int, removed: int, budget: int,
         return
     cut = net.furthest_cut()
     v = cut[0]
-    _candidates(masks, n, src_mask, sink, removed | (1 << v), budget - 1,
+    _candidates(G, src_mask, sink, removed | (1 << v), budget - 1,
                 committed | (1 << v), out)
     reach = _reach_mask(masks, src_mask & ~removed, removed | _mask(cut))
-    _candidates(masks, n, reach | (1 << v), sink, removed, budget, committed, out)
+    _candidates(G, reach | (1 << v), sink, removed, budget, committed, out)
 
 
 def enumerate_important(G: Graph, term: Terminals, k: int) -> ImportantSet:
@@ -92,7 +93,7 @@ def enumerate_important(G: Graph, term: Terminals, k: int) -> ImportantSet:
     if not _reach_mask(G.masks, 1 << term.s, 0) & (1 << term.t):
         raise AlreadySeparated(f"terminals {term.s},{term.t} already separated")
     raw: set[int] = set()
-    _candidates(G.masks, G.n, 1 << term.t, term.s, 0, k, 0, raw)
+    _candidates(G, 1 << term.t, term.s, 0, k, 0, raw)
     found = []
     for cand_mask in raw:
         cand = canonical(_bits(cand_mask))

@@ -1,17 +1,18 @@
-"""Vertex-capacity minimum cuts via vertex splitting and augmenting paths.
+"""Vertex-capacity minimum cuts by augmenting paths on the adjacency.
 
-Each vertex v becomes a node pair v_in -> v_out joined by a unit-capacity
-arc (infinite for source-side vertices and the sink); each undirected edge
-contributes two infinite arcs u_out -> v_in and v_out -> u_in.  The flow
-value then equals the maximum number of internally vertex-disjoint paths,
-and the two canonical minimum cuts fall out of residual reachability.
+Every vertex but the sources and the sink has capacity one, so a flow is
+a family of internally vertex-disjoint paths, kept as one `pred` and one
+`succ` per vertex.  The residual search walks implicit split states
+in(v) = 2v and out(v) = 2v + 1 without building a network: out(v) reaches
+in(w) of every live neighbour w, and in(v) when v is used; in(v) reaches
+out(v) when v is free and out(pred[v]) when it is used.  The flow value is
+the maximum number of internally vertex-disjoint paths, and the two
+canonical minimum cuts fall out of residual reachability.
 
-Capacities are small ints; "infinite" is n + 1, which exceeds any vertex
-cut.  A module-level counter tracks max-flow invocations so that delay
+A module-level counter tracks max-flow invocations so that delay
 bounds can be checked externally.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import AlreadySeparated, SourceSinkAdjacent, TerminalsAdjacent
@@ -19,10 +20,7 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
-    _bits,
     _check_avoids_terminals,
-    _mask,
-    _nbr_mask,
     canonical,
     saturate,
 )
@@ -36,43 +34,74 @@ def flow_call_count() -> int:
 
 
 class FlowNetwork:
-    """Residual network for one (source-set, sink) cut computation.
+    """Flow state for one (source-set, sink) cut computation.
 
-    Scratch structure: build, run max_flow once, then query cuts/paths.
-    Vertices in `removed` are absent from the network entirely.
+    Scratch structure: create, run max_flow once, then query cuts/paths.
+    Vertices in `removed` are absent from the graph entirely.  Raises
+    SourceSinkAdjacent if a source is the sink or adjacent to it.
     """
 
-    def __init__(self, masks, n: int, source_mask: int, sink: int, removed: int = 0):
-        self.n = n
-        self.source_mask = source_mask
+    def __init__(self, G: Graph, sources, sink: int, removed=()):
+        self.adj = G.adj
         self.sink = sink
-        self.removed = removed
-        self.inf = n + 1
-        # arc arrays; arc i and i^1 are a forward/reverse pair
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head = [-1] * (2 * n)  # per-node first arc index
-        self.next: list[int] = []
-        alive = ~removed
-        for v in range(n):
-            if not alive & (1 << v):
-                continue
-            c = self.inf if (source_mask >> v) & 1 or v == sink else 1
-            self._add_arc(2 * v, 2 * v + 1, c)
-            for w in _bits(masks[v] & alive):
-                self._add_arc(2 * v + 1, 2 * w, self.inf)
+        removed = set(removed)
+        self.sources = sorted(set(sources) - removed)
+        if sink in self.sources or not self.adj[sink].isdisjoint(self.sources):
+            raise SourceSinkAdjacent(
+                f"vertex {sink} is in the closed neighborhood of the sources")
+        # sources and removed vertices are never entered from a neighbour
+        self.blocked = bytearray(G.n)
+        for v in (*self.sources, *removed):
+            self.blocked[v] = 1
+        self.pred = [-1] * G.n
+        self.succ = [-1] * G.n
+        self.parent: dict[int, int] = {}  # of the last search: state -> state
         self.value = 0
         self._ran = False
 
-    def _add_arc(self, u: int, w: int, c: int) -> None:
-        for node, capacity in ((u, c), (w, 0)):
-            self.to.append(w if node == u else u)
-            self.cap.append(capacity)
-            self.next.append(self.head[node])
-            self.head[node] = len(self.to) - 1
+    def _search(self) -> bool:
+        """One residual BFS from the sources; True if it reached the sink."""
+        adj, blocked, pred = self.adj, self.blocked, self.pred
+        target = 2 * self.sink
+        parent = self.parent = {2 * s + 1: -1 for s in self.sources}
+        queue = list(parent)
+        for x in queue:  # grows while it is read: a FIFO without pops
+            v = x >> 1
+            if x & 1:
+                for w in adj[v]:
+                    if not blocked[w] and 2 * w not in parent:
+                        parent[2 * w] = x
+                        queue.append(2 * w)
+                if target in parent:
+                    return True
+                if pred[v] < 0:
+                    continue
+                y = x - 1
+            else:
+                u = pred[v]
+                y = x + 1 if u < 0 else 2 * u + 1
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+        return False
 
-    def _source_nodes(self):
-        return [2 * v + 1 for v in _bits(self.source_mask & ~self.removed)]
+    def _augment(self) -> None:
+        # Each out(u) -> in(w) step of the path sets the flow edge u -> w; a
+        # step back from out(w) to in(w) frees w.  Every pred/succ slot the
+        # path cancels is rewritten by exactly one step of the same path.
+        pred, succ, parent = self.pred, self.succ, self.parent
+        y = parent[2 * self.sink]
+        succ[y >> 1] = self.sink
+        x = parent[y]
+        while x >= 0:
+            y = parent[x]
+            u, w = y >> 1, x >> 1
+            if u == w:
+                pred[w] = succ[w] = -1
+            else:
+                succ[u] = w
+                pred[w] = u
+            x = parent[y]
 
     def max_flow(self) -> int:
         """Augment along shortest residual paths until the sink is cut off."""
@@ -80,110 +109,63 @@ class FlowNetwork:
         assert not self._ran
         self._ran = True
         _flow_calls += 1
-        target = 2 * self.sink
-        while True:
-            parent_arc = [-1] * (2 * self.n)
-            seen = [False] * (2 * self.n)
-            queue = deque()
-            for node in self._source_nodes():
-                seen[node] = True
-                queue.append(node)
-            while queue:
-                node = queue.popleft()
-                if node == target:
-                    break
-                a = self.head[node]
-                while a != -1:
-                    w = self.to[a]
-                    if self.cap[a] > 0 and not seen[w]:
-                        seen[w] = True
-                        parent_arc[w] = a
-                        queue.append(w)
-                    a = self.next[a]
-            if not seen[target]:
-                return self.value
-            node = target
-            while parent_arc[node] != -1:
-                a = parent_arc[node]
-                self.cap[a] -= 1
-                self.cap[a ^ 1] += 1
-                node = self.to[a ^ 1]
+        while self._search():
+            self._augment()
             self.value += 1
-
-    def _forward_reachable(self) -> list[bool]:
-        seen = [False] * (2 * self.n)
-        queue = deque()
-        for node in self._source_nodes():
-            seen[node] = True
-            queue.append(node)
-        while queue:
-            node = queue.popleft()
-            a = self.head[node]
-            while a != -1:
-                w = self.to[a]
-                if self.cap[a] > 0 and not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-                a = self.next[a]
-        return seen
-
-    def _backward_reachable(self) -> list[bool]:
-        # nodes that can still reach the sink in the residual network
-        seen = [False] * (2 * self.n)
-        target = 2 * self.sink
-        seen[target] = True
-        queue = deque([target])
-        while queue:
-            node = queue.popleft()
-            a = self.head[node]
-            while a != -1:
-                # arc a leaves `node`; its pair a^1 enters it, usable if a^1 has capacity
-                w = self.to[a]
-                if self.cap[a ^ 1] > 0 and not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-                a = self.next[a]
-        return seen
+        return self.value
 
     def closest_cut(self) -> Separator:
-        """Minimum cut with inclusion-minimal source side."""
-        seen = self._forward_reachable()
-        cut = [v for v in range(self.n) if seen[2 * v] and not seen[2 * v + 1]]
+        """Minimum cut with inclusion-minimal source side.
+
+        Read off the final, failed search: the vertices whose in-state it
+        reached and whose out-state it did not.
+        """
+        reached = self.parent
+        cut = sorted(x >> 1 for x in reached if not x & 1 and x + 1 not in reached)
         assert len(cut) == self.value
         return tuple(cut)
 
     def furthest_cut(self) -> Separator:
-        """Minimum cut with inclusion-maximal source side."""
-        seen = self._backward_reachable()
-        cut = [v for v in range(self.n) if seen[2 * v + 1] and not seen[2 * v]]
+        """Minimum cut with inclusion-maximal source side.
+
+        One backward sweep from in(sink) over the residual arcs: the cut is
+        the vertices whose out-state reaches the sink and in-state does not.
+        """
+        adj, blocked, pred, succ = self.adj, self.blocked, self.pred, self.succ
+        seen = {2 * self.sink}
+        queue = list(seen)
+        for x in queue:
+            v = x >> 1
+            if x & 1:  # entered from in(v) if v is free, else from in(succ[v])
+                y = x - 1 if pred[v] < 0 else 2 * succ[v]
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                continue
+            # in(v) is entered from out(u) of every live neighbour u, and
+            # from out(v) if v is used
+            for u in adj[v]:
+                if not blocked[u] and 2 * u + 1 not in seen:
+                    seen.add(2 * u + 1)
+                    queue.append(2 * u + 1)
+            if pred[v] >= 0 and x + 1 not in seen:
+                seen.add(x + 1)
+                queue.append(x + 1)
+        cut = sorted(x >> 1 for x in queue if x & 1 and x - 1 not in seen)
         assert len(cut) == self.value
         return tuple(cut)
 
     def disjoint_paths(self) -> list[list[int]]:
-        """Decompose the flow into internally vertex-disjoint paths."""
-        flow: dict[tuple[int, int], int] = {}
-        for a in range(0, len(self.to), 2):
-            if self.cap[a ^ 1] > 0:  # units pushed on the forward arc
-                u, w = self.to[a ^ 1], self.to[a]
-                if u % 2 == 1 and w % 2 == 0 and u // 2 != w // 2:
-                    flow[(u // 2, w // 2)] = flow.get((u // 2, w // 2), 0) + self.cap[a ^ 1]
-        for (u, w) in list(flow):
-            back = flow.get((w, u), 0)
-            if back and flow.get((u, w), 0):
-                d = min(back, flow[(u, w)])
-                flow[(u, w)] -= d
-                flow[(w, u)] -= d
+        """The flow as internally vertex-disjoint source-to-sink paths."""
+        pred, succ, sink = self.pred, self.succ, self.sink
         paths = []
-        for v in _bits(self.source_mask):
-            for w in range(self.n):
-                while flow.get((v, w), 0) > 0:
-                    flow[(v, w)] -= 1
-                    path = [v, w]
-                    while path[-1] != self.sink:
-                        x = path[-1]
-                        nxt = next(y for y in range(self.n) if flow.get((x, y), 0) > 0)
-                        flow[(x, nxt)] -= 1
-                        path.append(nxt)
+        for s in self.sources:
+            for w in sorted(self.adj[s]):
+                if pred[w] == s:
+                    path = [s, w]
+                    while w != sink:
+                        w = succ[w]
+                        path.append(w)
                     paths.append(path)
         assert len(paths) == self.value
         return paths
@@ -196,9 +178,19 @@ class CutResult:
     disjoint_paths: list[list[int]] = field(default_factory=list)
 
 
-def _min_cut(masks, n, source_mask, sink, removed=0) -> FlowNetwork:
-    net = FlowNetwork(masks, n, source_mask, sink, removed)
+def _min_cut(G: Graph, sources, sink: int, removed=()) -> FlowNetwork:
+    net = FlowNetwork(G, sources, sink, removed)
     net.max_flow()
+    return net
+
+
+def _terminal_flow(G: Graph, term: Terminals) -> FlowNetwork:
+    """Maximum s,t-flow; the terminals must be neither adjacent nor separated."""
+    if G.has_edge(term.s, term.t):
+        raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
+    net = _min_cut(G, (term.s,), term.t)
+    if net.value == 0:
+        raise AlreadySeparated(f"terminals {term.s},{term.t} already separated")
     return net
 
 
@@ -209,11 +201,7 @@ def kappa(G: Graph, term: Terminals) -> CutResult:
     residual-reachable set), fixed for determinism; the paths are a
     maximum family of internally vertex-disjoint s,t-paths.
     """
-    if G.has_edge(term.s, term.t):
-        raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
-    net = _min_cut(G.masks, G.n, 1 << term.s, term.t)
-    if net.value == 0:
-        raise AlreadySeparated(f"terminals {term.s},{term.t} already separated")
+    net = _terminal_flow(G, term)
     return CutResult(net.value, net.closest_cut(), net.disjoint_paths())
 
 
@@ -221,16 +209,15 @@ def min_separator_between(G: Graph, A, t: int, side: str) -> Separator:
     """Minimum vertex separator between the set A and the vertex t.
 
     side="closest" gives the cut with inclusion-minimal A-side component,
-    side="furthest" the inclusion-maximal one.
+    side="furthest" the inclusion-maximal one.  Raises SourceSinkAdjacent
+    when t lies in the closed neighborhood of A.
     """
     if side not in ("closest", "furthest"):
         raise ValueError(f"side must be 'closest' or 'furthest', got {side!r}")
-    amask = _mask(A)
-    if not amask:
+    sources = canonical(A)
+    if not sources:
         raise ValueError("source set A must be nonempty")
-    if (amask | _nbr_mask(G.masks, amask)) & (1 << t):
-        raise SourceSinkAdjacent(f"vertex {t} is in the closed neighborhood of A")
-    net = _min_cut(G.masks, G.n, amask, t)
+    net = _min_cut(G, sources, t)
     if net.value == 0:
         raise AlreadySeparated(f"{t} unreachable from source set")
     return net.closest_cut() if side == "closest" else net.furthest_cut()
@@ -246,9 +233,8 @@ def min_separator_containing(G: Graph, term: Terminals, I) -> Separator | None:
     _check_avoids_terminals(term, members)
     if G.has_edge(term.s, term.t):
         raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
-    sbit = 1 << term.s
-    k_full = _min_cut(G.masks, G.n, sbit, term.t).value
-    net = _min_cut(G.masks, G.n, sbit, term.t, removed=_mask(members))
+    k_full = _min_cut(G, (term.s,), term.t).value
+    net = _min_cut(G, (term.s,), term.t, removed=members)
     if net.value != k_full - len(members):
         return None
     return canonical(members + net.closest_cut())
@@ -266,7 +252,7 @@ def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
     H = saturate(G, members)
     if H.has_edge(term.s, term.t):
         return None
-    net = _min_cut(H.masks, H.n, 1 << term.s, term.t)
+    net = _min_cut(H, (term.s,), term.t)
     if net.value == 0:
         return None
     return net.closest_cut()

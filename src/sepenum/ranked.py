@@ -18,28 +18,17 @@ minimum size, which makes it emit exactly the minimum separators.
 
 from heapq import heappop, heappush
 from itertools import count as _counter
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .errors import AlreadySeparated, TerminalsAdjacent
 from .graph import (
     Graph,
     Separator,
     Terminals,
-    _mask,
     canonical,
     is_separator,
     saturate,
 )
-from .mincut import _min_cut
-
-
-def _first_cut(G: Graph, term: Terminals) -> Separator:
-    if G.has_edge(term.s, term.t):
-        raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
-    net = _min_cut(G.masks, G.n, 1 << term.s, term.t)
-    if net.value == 0:
-        raise AlreadySeparated(f"terminals {term.s},{term.t} already separated")
-    return net.closest_cut()
+from .mincut import _min_cut, _terminal_flow
 
 
 def _lawler(G: Graph, term: Terminals, first: Separator,
@@ -59,8 +48,7 @@ def _lawler(G: Graph, term: Terminals, first: Separator,
             H_v = saturate(H, (v,))
             if H_v.has_edge(term.s, term.t):
                 continue
-            net = _min_cut(H_v.masks, H_v.n, 1 << term.s, term.t,
-                           removed=_mask(include_i))
+            net = _min_cut(H_v, (term.s,), term.t, removed=include_i)
             if net.value == 0:
                 continue
             if size_gate is not None and net.value != size_gate - len(include_i):
@@ -74,32 +62,10 @@ def _lawler(G: Graph, term: Terminals, first: Separator,
 
 def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield s,t-separators in non-decreasing cardinality, no duplicates."""
-    return _lawler(G, term, _first_cut(G, term), None)
+    return _lawler(G, term, _terminal_flow(G, term).closest_cut(), None)
 
 
 def iter_minimum_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield exactly the minimum-cardinality s,t-separators, each once."""
-    first = _first_cut(G, term)
+    first = _terminal_flow(G, term).closest_cut()
     return _lawler(G, term, first, len(first))
-
-
-def ranked_separators(
-    G: Graph, term: Terminals, sink: Callable[[Separator], None]
-) -> int:
-    """Drive the ranked stream through a sink callback; returns the count."""
-    count = 0
-    for S in iter_ranked_separators(G, term):
-        sink(S)
-        count += 1
-    return count
-
-
-def minimum_separators(
-    G: Graph, term: Terminals, sink: Callable[[Separator], None]
-) -> int:
-    """Drive the minimum-only stream through a sink; returns the count."""
-    count = 0
-    for S in iter_minimum_separators(G, term):
-        sink(S)
-        count += 1
-    return count

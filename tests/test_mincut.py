@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepenum as sp
 from sepenum.errors import AlreadySeparated, SourceSinkAdjacent, TerminalsAdjacent
-from sepenum.graph import Terminals, parse_graph
+from sepenum.graph import Graph, Terminals, parse_graph
 from sepenum.mincut import FlowNetwork, flow_call_count
-from sepenum.oracle import DIAMOND, P4, THETA
+from sepenum.oracle import DIAMOND, P4, THETA, random_graph
 
 from conftest import nonadjacent_pairs, random_connected_graph
 
@@ -172,7 +174,72 @@ def test_no_minimal_separator_contains_a_simplicial_vertex():
 
 def test_flow_network_counter_increments():
     before = flow_call_count()
-    net = FlowNetwork(P4.graph.masks, 4, 1, 3)
+    net = FlowNetwork(P4.graph, (0,), 3)
     assert net.max_flow() == 1
     assert flow_call_count() == before + 1
     assert net.closest_cut() == (1,) and net.furthest_cut() == (2,)
+
+
+def _check_flow(g, sources, sink, removed) -> int:
+    """Run the kernel and check its cuts and paths against each other."""
+    net = FlowNetwork(g, sources, sink, removed)
+    value = net.max_flow()
+    closest, furthest = net.closest_cut(), net.furthest_cut()
+    paths = net.disjoint_paths()
+    assert value == len(closest) == len(furthest) == len(paths)
+
+    def source_side(cut):
+        side = set()
+        for s in sources:
+            side |= sp.component_of(g, removed | set(cut), s)
+        return side
+
+    # each cut separates, so with as many disjoint paths both are minimum
+    for cut in (closest, furthest):
+        assert not set(cut) & (removed | sources | {sink})
+        assert sink not in source_side(cut)
+    assert source_side(closest) <= source_side(furthest)
+    for path in paths:
+        assert path[0] in sources and path[-1] == sink
+        assert len(set(path)) == len(path)
+        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        assert not set(path) & removed
+    for p1, p2 in itertools.combinations(paths, 2):
+        assert not set(p1[1:-1]) & set(p2[1:-1])
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flow_network_on_source_and_removed_sets(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    p = data.draw(st.sampled_from((0.15, 0.3, 0.5)), label="p")
+    g = random_graph(n, p, data.draw(st.integers(0, 10_000), label="seed"))
+    sink = data.draw(st.integers(0, n - 1), label="sink")
+    far = [v for v in range(n) if v != sink and v not in g.adj[sink]]
+    if not far:
+        return
+    sources = data.draw(st.sets(st.sampled_from(far), min_size=1), label="sources")
+    rest = [v for v in range(n) if v != sink and v not in sources]
+    removed = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()),
+                        label="removed")
+    _check_flow(g, sources, sink, removed)
+
+
+def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
+    # In this adjacency order the first path is 29-19-10-2-39; the second
+    # runs 29-3-8-2, back through 10 to 19, then on to 15-9-39, and so
+    # takes 10 out of the flow.  Random graphs this small rarely do that.
+    g = Graph(40, [(0, 4), (0, 35), (2, 8), (2, 10), (2, 30), (2, 39), (3, 8),
+                   (3, 29), (4, 8), (5, 30), (5, 37), (9, 15), (9, 39), (10, 19),
+                   (15, 19), (15, 35), (19, 29), (29, 37)])
+    assert _check_flow(g, {29}, 39, set()) == 2
+
+
+def test_kappa_on_a_long_cycle_builds_no_bitmasks():
+    n = 3000
+    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    cut = sp.kappa(g, Terminals(0, n // 2))
+    assert cut.kappa == 2 and len(cut.disjoint_paths) == 2
+    assert set().union(*cut.disjoint_paths) == set(range(n))
+    assert g._masks is None

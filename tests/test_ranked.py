@@ -27,13 +27,6 @@ def test_errors_raised_eagerly():
         sp.iter_minimum_separators(parse_graph("s a\nt b"), Terminals(0, 2))
 
 
-def test_sink_wrappers_count():
-    out = []
-    assert sp.ranked_separators(P4.graph, P4.terminals, out.append) == 2
-    assert sp.minimum_separators(P4.graph, P4.terminals, out.append) == 2
-    assert out == [(1,), (2,), (1,), (2,)]
-
-
 def test_ranked_contract_on_random_graphs():
     for seed in range(30):
         n = 5 + seed % 4  # ranked runs to exhaustion; keep the family small
