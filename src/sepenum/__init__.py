@@ -10,7 +10,6 @@ from .errors import (
     AlreadySeparated,
     MalformedLine,
     NotANeighbor,
-    NotAnEdge,
     NotAPath,
     NotASeparator,
     NotChordless,
@@ -25,7 +24,7 @@ from .errors import (
     VertexNotOnPath,
     VertexRemoved,
 )
-from .fpt import enumerate_small_minimal, iter_small_minimal, pop_key
+from .fpt import iter_small_minimal, pop_key
 from .graph import (
     Graph,
     Separator,
@@ -36,14 +35,13 @@ from .graph import (
     chordless_path_to_separator,
     close_separator,
     component_of,
-    contract_into,
     is_minimal_separator,
     is_separator,
     minimalize,
     parse_graph,
     saturate,
 )
-from .important import ImportantSet, enumerate_important, is_important, min_important
+from .important import enumerate_important, is_important
 from .mincut import (
     CutResult,
     FlowNetwork,

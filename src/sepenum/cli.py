@@ -14,6 +14,7 @@ list-minimal an adjacent pair prints the bottom marker "BOTTOM");
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Iterable
 
 from .errors import (
@@ -92,7 +93,11 @@ def _build_parser() -> _Parser:
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as f:
+            text = f.read()
     return parse_graph(text)
 
 
@@ -105,12 +110,9 @@ def _emit(G: Graph, sep: Separator, as_json: bool) -> None:
 
 
 def _stream(G: Graph, seps: Iterable[Separator], limit, as_json: bool) -> int:
-    emitted = 0
-    for sep in seps:
-        if limit is not None and emitted >= limit:
-            break
+    # islice stops before pulling separator limit + 1 from a lazy stream
+    for sep in islice(seps, limit):
         _emit(G, sep, as_json)
-        emitted += 1
     return EXIT_OK
 
 

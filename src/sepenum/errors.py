@@ -37,10 +37,6 @@ class NotANeighbor(SepenumError):
     """The vertex to absorb is not adjacent to the absorbing vertex."""
 
 
-class NotAnEdge(SepenumError):
-    """The named pair is not an edge of the graph."""
-
-
 class NotASeparator(SepenumError):
     """The given set does not separate the terminals."""
 

@@ -13,15 +13,13 @@ delay.
 """
 
 from heapq import heappop, heappush
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graph import (
     Graph,
     Separator,
     Terminals,
-    _bits,
-    _mask,
-    _reach_mask,
+    _component,
     absorb,
     add_star,
     canonical,
@@ -38,8 +36,7 @@ def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
     the original graph, even for separators discovered in rewired ones.
     """
     members = canonical(S)
-    comp = _reach_mask(G.masks, 1 << s, _mask(members))
-    return (comp.bit_count(), members)
+    return (len(_component(G.adj, (s,), set(members))), members)
 
 
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
@@ -75,16 +72,3 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
 
     return generate()
 
-
-def enumerate_small_minimal(
-    G: Graph, term: Terminals, k: int, sink: Callable[[Separator], None]
-) -> int:
-    """Drive iter_small_minimal through a sink callback; returns the count.
-
-    The sink must not re-enter the enumerator.
-    """
-    count = 0
-    for S in iter_small_minimal(G, term, k):
-        sink(S)
-        count += 1
-    return count

@@ -4,14 +4,17 @@ Vertices are dense integer ids 0..n-1; every vertex carries a distinct
 string label, and all user-facing output is in terms of labels.  Graphs
 are simple (no self-loops, no parallel edges) and undirected.  Instances
 are treated as immutable: every transformation returns a new Graph.
+
+Adjacency frozensets are the only representation.  Components and
+neighbourhoods of G minus a vertex set, on which every separator
+predicate and construction below rests, are set computations over them.
 """
 
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple
 
 from .errors import (
     AlreadySeparated,
     MalformedLine,
-    NotAnEdge,
     NotANeighbor,
     NotAPath,
     NotASeparator,
@@ -37,7 +40,7 @@ class Terminals(NamedTuple):
 class Graph:
     """Undirected simple graph with adjacency sets and a label table."""
 
-    __slots__ = ("n", "labels", "adj", "_masks", "_label_ids")
+    __slots__ = ("n", "labels", "adj", "_label_ids")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
         if labels is None:
@@ -57,7 +60,6 @@ class Graph:
         self.n = n
         self.labels = labels
         self.adj = tuple(frozenset(a) for a in adj)
-        self._masks = None
         self._label_ids = None
 
     @classmethod
@@ -66,16 +68,8 @@ class Graph:
         g.n = len(labels)
         g.labels = tuple(labels)
         g.adj = tuple(frozenset(a) for a in adj)
-        g._masks = None
         g._label_ids = None
         return g
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Adjacency encoded as one bitmask per vertex (lazy, cached)."""
-        if self._masks is None:
-            self._masks = tuple(_mask(a) for a in self.adj)
-        return self._masks
 
     def vertex(self, label: str) -> int:
         if self._label_ids is None:
@@ -124,44 +118,6 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# bitmask primitives (shared with the flow machinery)
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _reach_mask(masks, start_mask: int, blocked: int) -> int:
-    """Vertices reachable from start_mask in the graph minus blocked."""
-    comp = start_mask & ~blocked
-    frontier = comp
-    while frontier:
-        grown = 0
-        for v in _bits(frontier):
-            grown |= masks[v]
-        frontier = grown & ~blocked & ~comp
-        comp |= frontier
-    return comp
-
-
-def _nbr_mask(masks, comp: int) -> int:
-    """N(comp): union of neighborhoods of comp, minus comp itself."""
-    m = 0
-    for v in _bits(comp):
-        m |= masks[v]
-    return m & ~comp
-
-
-# ---------------------------------------------------------------------------
 # parsing
 
 def parse_graph(text: str) -> Graph:
@@ -205,21 +161,34 @@ def _check_avoids_terminals(term: Terminals, members: Separator) -> None:
         raise TerminalInSet(f"set {members} contains a terminal of {term}")
 
 
+def _component(adj, start: Iterable[int], blocked: AbstractSet[int]) -> set[int]:
+    """Vertices reachable from start in the graph minus the set blocked."""
+    comp = set(start) - blocked
+    frontier = comp
+    while frontier:
+        frontier = set().union(*[adj[v] for v in frontier]) - comp - blocked
+        comp |= frontier
+    return comp
+
+
+def _boundary(adj, comp: AbstractSet[int]) -> set[int]:
+    """N(comp): the neighbours of the set comp outside it."""
+    return set().union(*[adj[v] for v in comp]) - comp
+
+
 def component_of(G: Graph, removed: Iterable[int], v: int) -> frozenset:
     """Connected component of v in G minus the removed vertices."""
-    removed = canonical(removed)
+    removed = set(removed)
     if v in removed:
         raise VertexRemoved(f"vertex {v} is removed")
-    comp = _reach_mask(G.masks, 1 << v, _mask(removed))
-    return frozenset(_bits(comp))
+    return frozenset(_component(G.adj, (v,), removed))
 
 
 def is_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     """True iff t is unreachable from s in G minus X."""
     members = canonical(X)
     _check_avoids_terminals(term, members)
-    comp_s = _reach_mask(G.masks, 1 << term.s, _mask(members))
-    return not comp_s & (1 << term.t)
+    return term.t not in _component(G.adj, (term.s,), set(members))
 
 
 def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
@@ -230,15 +199,11 @@ def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     """
     members = canonical(X)
     _check_avoids_terminals(term, members)
-    masks = G.masks
-    xmask = _mask(members)
-    comp_s = _reach_mask(masks, 1 << term.s, xmask)
-    if comp_s & (1 << term.t):
+    adj, xset = G.adj, set(members)
+    comp_s = _component(adj, (term.s,), xset)
+    if term.t in comp_s or _boundary(adj, comp_s) != xset:
         return False
-    if _nbr_mask(masks, comp_s) != xmask:
-        return False
-    comp_t = _reach_mask(masks, 1 << term.t, xmask)
-    return _nbr_mask(masks, comp_t) == xmask
+    return _boundary(adj, _component(adj, (term.t,), xset)) == xset
 
 
 # ---------------------------------------------------------------------------
@@ -287,43 +252,13 @@ def absorb(G: Graph, s: int, v: int) -> Graph:
     return G.with_edges((s, y) for y in G.adj[v] if y != s)
 
 
-def contract_into(G: Graph, e: tuple[int, int], target: int) -> Graph:
-    """Contract edge e onto its endpoint target, removing the other end.
-
-    The target inherits the union of both endpoints' neighborhoods;
-    simple-graph invariants are restored (ids are re-densified, labels
-    of surviving vertices are preserved).
-    """
-    u, v = e
-    if not G.has_edge(u, v):
-        raise NotAnEdge(f"({u},{v}) is not an edge")
-    if target not in (u, v):
-        raise ValueError(f"{target} is not an endpoint of ({u},{v})")
-    gone = v if target == u else u
-    remap = {}
-    labels = []
-    for w in range(G.n):
-        if w != gone:
-            remap[w] = len(labels)
-            labels.append(G.labels[w])
-    adj = [set() for _ in labels]
-    for a, b in G.edges():
-        a2 = target if a == gone else a
-        b2 = target if b == gone else b
-        if a2 == b2:
-            continue
-        adj[remap[a2]].add(remap[b2])
-        adj[remap[b2]].add(remap[a2])
-    return Graph._from_adj(labels, adj)
-
-
 # ---------------------------------------------------------------------------
 # separator constructions
 
 def _require_separable(G: Graph, term: Terminals) -> None:
     if G.has_edge(term.s, term.t):
         raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
-    if not _reach_mask(G.masks, 1 << term.s, 0) & (1 << term.t):
+    if term.t not in _component(G.adj, (term.s,), set()):
         raise AlreadySeparated(f"terminals {term.s},{term.t} already separated")
 
 
@@ -333,10 +268,8 @@ def close_separator(G: Graph, term: Terminals) -> Separator:
     Computed as the neighborhood of t's component after removing N(s).
     """
     _require_separable(G, term)
-    masks = G.masks
-    ns = masks[term.s]
-    comp_t = _reach_mask(masks, 1 << term.t, ns)
-    return canonical(_bits(_nbr_mask(masks, comp_t)))
+    adj = G.adj
+    return canonical(_boundary(adj, _component(adj, (term.t,), adj[term.s])))
 
 
 def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
@@ -348,11 +281,9 @@ def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
     members = canonical(X)
     if not is_separator(G, term, members):
         raise NotASeparator(f"{members} does not separate {term.s} from {term.t}")
-    masks = G.masks
-    comp_s = _reach_mask(masks, 1 << term.s, _mask(members))
-    side_s = _nbr_mask(masks, comp_s)
-    comp_t = _reach_mask(masks, 1 << term.t, side_s)
-    return canonical(_bits(_nbr_mask(masks, comp_t)))
+    adj = G.adj
+    side_s = _boundary(adj, _component(adj, (term.s,), set(members)))
+    return canonical(_boundary(adj, _component(adj, (term.t,), side_s)))
 
 
 def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
@@ -374,10 +305,11 @@ def chordless_path_to_separator(
 ) -> Separator:
     """Turn a chordless s,t-path through v into a minimal separator containing v.
 
-    The prefix of the path is contracted into s and the suffix into t;
-    the close separator of the contracted graph then necessarily contains
-    v and is a minimal s,t-separator of the original graph.  Returned ids
-    refer to the original graph (surviving labels are mapped back).
+    With P the part of the path before v and C the component of the part
+    after v in G minus N(P), the result is N(C).  This is the close
+    separator of the graph in which P is contracted into s and the rest
+    of the path after v into t; it contains v, which neighbours both
+    parts, and it is a minimal s,t-separator of G.
     """
     _validate_chordless_path(G, term, path)
     if v == term.s or v == term.t:
@@ -385,15 +317,8 @@ def chordless_path_to_separator(
     if v not in path:
         raise VertexNotOnPath(f"vertex {v} not on path")
     idx = path.index(v)
-    s_lab, t_lab, v_lab = G.labels[term.s], G.labels[term.t], G.labels[v]
-    H = G
-    for a in path[1:idx]:
-        lab = G.labels[a]
-        H = contract_into(H, (H.vertex(s_lab), H.vertex(lab)), H.vertex(s_lab))
-    for b in reversed(path[idx + 1 : -1]):
-        lab = G.labels[b]
-        H = contract_into(H, (H.vertex(lab), H.vertex(t_lab)), H.vertex(t_lab))
-    sep = close_separator(H, Terminals(H.vertex(s_lab), H.vertex(t_lab)))
-    result = canonical(G.vertex(H.labels[w]) for w in sep)
-    assert G.vertex(v_lab) in result
+    adj = G.adj
+    prefix_nbrs = _boundary(adj, set(path[:idx]))
+    result = canonical(_boundary(adj, _component(adj, path[idx + 1:], prefix_nbrs)))
+    assert v in result
     return result

@@ -2,8 +2,9 @@
 
 Everything here is intentionally naive: exhaustive subset or path
 enumeration guarded by hard size limits.  The oracles share no code with
-the algorithms they validate beyond the Graph type and the definitional
-minimality check.
+the algorithms they validate beyond the Graph type and the parser: each
+one encodes the adjacency as one bitmask per vertex for itself (cheap at
+the n <= 16 the guards allow) and runs its own reachability over them.
 """
 
 import random
@@ -11,17 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge
-from .graph import (
-    Graph,
-    Separator,
-    Terminals,
-    _bits,
-    _mask,
-    _nbr_mask,
-    _reach_mask,
-    canonical,
-    parse_graph,
-)
+from .graph import Graph, Separator, Terminals, parse_graph
 
 
 @dataclass(frozen=True)
@@ -48,10 +39,45 @@ def _guard(G: Graph, limit: int) -> None:
         raise TooLarge(f"n={G.n} exceeds oracle guard {limit}")
 
 
+def _mask(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach_mask(masks, start_mask: int, blocked: int) -> int:
+    """Vertices reachable from start_mask in the graph minus blocked."""
+    comp = start_mask & ~blocked
+    frontier = comp
+    while frontier:
+        grown = 0
+        for v in _bits(frontier):
+            grown |= masks[v]
+        frontier = grown & ~blocked & ~comp
+        comp |= frontier
+    return comp
+
+
+def _nbr_mask(masks, comp: int) -> int:
+    """N(comp): union of neighborhoods of comp, minus comp itself."""
+    m = 0
+    for v in _bits(comp):
+        m |= masks[v]
+    return m & ~comp
+
+
 def brute_minimal_separators(G: Graph, term: Terminals) -> set[Separator]:
     """All minimal s,t-separators, by exhaustive subset enumeration."""
     _guard(G, 16)
-    masks = G.masks
+    masks = tuple(_mask(a) for a in G.adj)
     sbit, tbit = 1 << term.s, 1 << term.t
     free = [v for v in range(G.n) if v != term.s and v != term.t]
     found = set()
@@ -77,7 +103,7 @@ def brute_important(G: Graph, term: Terminals, k: int) -> set[Separator]:
     """
     _guard(G, 14)
     minimal = sorted(brute_minimal_separators(G, term))
-    masks = G.masks
+    masks = tuple(_mask(a) for a in G.adj)
     sbit = 1 << term.s
     comp = {X: _reach_mask(masks, sbit, _mask(X)) for X in minimal}
     important = set()
@@ -101,7 +127,7 @@ def brute_minimum_separators(G: Graph, term: Terminals) -> set[Separator]:
     member is automatically a minimal separator.
     """
     _guard(G, 16)
-    masks = G.masks
+    masks = tuple(_mask(a) for a in G.adj)
     sbit, tbit = 1 << term.s, 1 << term.t
     free = [v for v in range(G.n) if v != term.s and v != term.t]
     for r in range(len(free) + 1):
@@ -120,7 +146,7 @@ def brute_chordless_paths_through(
 ) -> list[list[int]]:
     """All chordless s,t-paths through v, in lexicographic DFS order."""
     _guard(G, max_n)
-    masks = G.masks
+    masks = tuple(_mask(a) for a in G.adj)
     paths: list[list[int]] = []
     target = term.t
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sepenum.graph import Graph, Terminals, _reach_mask
+from sepenum.graph import Graph, Terminals, component_of
 from sepenum.oracle import (
     brute_important,
     brute_minimal_separators,
@@ -14,7 +14,7 @@ from sepenum.oracle import (
 
 
 def is_connected(G: Graph) -> bool:
-    return G.n == 0 or _reach_mask(G.masks, 1, 0).bit_count() == G.n
+    return G.n == 0 or len(component_of(G, (), 0)) == G.n
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import pytest
-
-from sepenum.cli import main
+import sepenum
+from sepenum.cli import EXIT_OK, _stream, main
+from sepenum.graph import parse_graph
+from sepenum.mincut import flow_call_count
 
 DATA = Path(__file__).parent / "data"
 P4 = str(DATA / "p4.edges")
@@ -43,6 +47,29 @@ def test_list_minimal_limit(capsys):
     )
     assert code == 0
     assert out == "a\n"
+
+
+def _separators_then_fail(count):
+    for v in range(count):
+        yield (v,)
+    raise AssertionError("pulled a separator past the limit")
+
+
+def test_stream_pulls_nothing_past_the_limit(capsys):
+    g = parse_graph("a b\nb c")
+    assert _stream(g, _separators_then_fail(2), 2, False) == EXIT_OK
+    assert capsys.readouterr().out == "a\nb\n"
+    assert _stream(g, _separators_then_fail(0), 0, False) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
+def test_limit_one_costs_only_the_first_separators_flows(capsys):
+    before = flow_call_count()
+    run(capsys, "ranked", THETA, "-s", "s", "-t", "t", "--limit", "1")
+    assert flow_call_count() - before == 1
+    before = flow_call_count()
+    run(capsys, "list-minimal", THETA, "-s", "s", "-t", "t", "-k", "2", "--limit", "1")
+    assert flow_call_count() - before == 4
 
 
 def test_list_minimal_bottom_on_adjacent_terminals(capsys, tmp_path):
@@ -192,3 +219,13 @@ def test_byte_identical_across_runs(capsys):
         ):
             outs.add((args[0], run(capsys, *args)[1]))
     assert len(outs) == 3
+
+
+def test_cli_closes_its_input_file():
+    env = dict(os.environ, PYTHONPATH=str(Path(sepenum.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "sepenum.cli", "minsep", P4, "-s", "s", "-t", "t"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr == ""
+    assert proc.returncode == 0 and proc.stdout == "kappa 1\na\n"

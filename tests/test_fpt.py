@@ -45,12 +45,6 @@ def test_pop_key_examples():
     assert sp.pop_key(P4.graph, 0, (2,)) == (2, (2,))
 
 
-def test_sink_callback_counts():
-    seen = []
-    count = sp.enumerate_small_minimal(P4.graph, P4.terminals, 1, seen.append)
-    assert count == 2 and seen == [(1,), (2,)]
-
-
 def test_matches_brute_force_each_exactly_once():
     for seed in range(30):
         n = 5 + seed % 6
@@ -72,9 +66,8 @@ def test_delay_bounded_by_flow_calls():
         for term in nonadjacent_pairs(g):
             for k in (1, n):
                 marks = [flow_call_count()]
-                sp.enumerate_small_minimal(
-                    g, term, k, lambda _s: marks.append(flow_call_count())
-                )
+                for _ in sp.iter_small_minimal(g, term, k):
+                    marks.append(flow_call_count())
                 bound = 4 * n * k * 4 ** k
                 gaps = [b - a for a, b in zip(marks, marks[1:])]
                 assert all(gap <= bound for gap in gaps)

@@ -6,7 +6,6 @@ import sepenum as sp
 from sepenum.errors import (
     AlreadySeparated,
     MalformedLine,
-    NotAnEdge,
     NotANeighbor,
     NotAPath,
     NotASeparator,
@@ -159,7 +158,7 @@ def test_saturate_family_matches_filtered_family(seed):
 
 
 # ---------------------------------------------------------------------------
-# star addition, absorption, contraction
+# star addition and absorption
 
 def test_add_star_examples():
     th = THETA.graph
@@ -186,22 +185,6 @@ def test_absorb_requires_neighbor():
 def test_absorb_never_removes_edges():
     g = THETA.graph
     assert edge_set(g) <= edge_set(sp.absorb(g, 0, 1))
-
-
-def test_contract_into_examples():
-    g = P4.graph
-    c = sp.contract_into(g, (2, 3), 3)
-    assert c.labels == ("s", "a", "t") and sorted(c.edges()) == [(0, 1), (1, 2)]
-    c = sp.contract_into(g, (0, 1), 0)
-    assert c.labels == ("s", "b", "t") and sorted(c.edges()) == [(0, 1), (1, 2)]
-    tri = parse_graph("s a\na t\ns t")
-    c = sp.contract_into(tri, (0, 1), 0)
-    assert c.labels == ("s", "t") and sorted(c.edges()) == [(0, 1)]
-
-
-def test_contract_into_requires_edge():
-    with pytest.raises(NotAnEdge):
-        sp.contract_into(P4.graph, (0, 2), 0)
 
 
 # ---------------------------------------------------------------------------

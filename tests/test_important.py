@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 import sepenum as sp
 from sepenum.errors import AlreadySeparated, NotMinimal, TerminalsAdjacent
-from sepenum.graph import Terminals, parse_graph
+from sepenum.graph import Graph, Terminals, parse_graph
 from sepenum.oracle import DIAMOND, P4, THETA
 
 from conftest import nonadjacent_pairs, random_connected_graph
@@ -35,12 +37,6 @@ def test_enumerate_important_errors():
         sp.enumerate_important(P4.graph, P4.terminals, 0)
 
 
-def test_min_important_examples():
-    assert sp.min_important(P4.graph, P4.terminals) == (1,)
-    assert sp.min_important(THETA.graph, THETA.terminals) == (1, 3)
-    assert sp.min_important(DIAMOND.graph, DIAMOND.terminals) == (1, 2)
-
-
 def test_enumerate_important_matches_brute_everywhere():
     for seed in range(30):
         n = 5 + seed % 6
@@ -50,7 +46,7 @@ def test_enumerate_important_matches_brute_everywhere():
                 got = sp.enumerate_important(g, term, k)
                 assert set(got) == sp.brute_important(g, term, k)
                 assert len(got) <= 4 ** k
-                assert got.separators == sorted(got.separators, key=lambda s: (len(s), s))
+                assert got == sorted(got, key=lambda s: (len(s), s))
                 for X in got:
                     assert len(X) <= k
                     assert sp.is_minimal_separator(g, term, X)
@@ -63,7 +59,7 @@ def test_exactly_one_minimum_important():
             k = sp.kappa(g, term).kappa
             smallest = [X for X in sp.enumerate_important(g, term, g.n) if len(X) == k]
             assert len(smallest) == 1
-            assert sp.min_important(g, term) == smallest[0]
+            assert sp.kappa(g, term).separator == smallest[0]
 
 
 def test_close_separator_is_always_important():
@@ -71,3 +67,17 @@ def test_close_separator_is_always_important():
         g = random_connected_graph(5 + seed % 6, 0.35, 1200 + seed)
         for term in nonadjacent_pairs(g):
             assert sp.is_important(g, term, sp.close_separator(g, term))
+
+
+def test_enumerate_important_on_a_long_cycle_stays_linear_in_memory():
+    # One bitmask per vertex would take Theta(n^2) bytes, about 26 MiB here.
+    n = 20_000
+    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    tracemalloc.start()
+    try:
+        got = sp.enumerate_important(g, Terminals(0, n // 2), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert got == [(1, n - 1)]

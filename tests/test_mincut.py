@@ -236,10 +236,9 @@ def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
     assert _check_flow(g, {29}, 39, set()) == 2
 
 
-def test_kappa_on_a_long_cycle_builds_no_bitmasks():
+def test_kappa_on_a_long_cycle():
     n = 3000
     g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
     cut = sp.kappa(g, Terminals(0, n // 2))
     assert cut.kappa == 2 and len(cut.disjoint_paths) == 2
     assert set().union(*cut.disjoint_paths) == set(range(n))
-    assert g._masks is None
