@@ -20,6 +20,7 @@ from typing import Iterable
 from .errors import (
     AlreadySeparated,
     SepenumError,
+    TerminalInSet,
     TerminalsAdjacent,
     UnknownLabel,
 )
@@ -156,6 +157,9 @@ def _run(args) -> int:
 
     if args.command == "check":
         members = canonical(G.vertex(lab) for lab in args.members.split(","))
+        for v in term:
+            if v in members:
+                raise TerminalInSet(f"--set contains terminal {G.labels[v]!r}")
         separator = is_separator(G, term, members)
         minimal = separator and is_minimal_separator(G, term, members)
         important = minimal and is_important(G, term, members)

@@ -3,7 +3,9 @@
 Vertices are dense integer ids 0..n-1; every vertex carries a distinct
 string label, and all user-facing output is in terms of labels.  Graphs
 are simple (no self-loops, no parallel edges) and undirected.  Instances
-are treated as immutable: every transformation returns a new Graph.
+are immutable: every transformation returns a new Graph, which shares
+with its input every neighbourhood it leaves unchanged (neighbourhoods
+are frozensets, so sharing them is safe).
 
 Adjacency frozensets are the only representation.  Components and
 neighbourhoods of G minus a vertex set, on which every separator
@@ -62,13 +64,13 @@ class Graph:
         self.adj = tuple(frozenset(a) for a in adj)
         self._label_ids = None
 
-    @classmethod
-    def _from_adj(cls, labels, adj) -> "Graph":
-        g = cls.__new__(cls)
-        g.n = len(labels)
-        g.labels = tuple(labels)
-        g.adj = tuple(frozenset(a) for a in adj)
-        g._label_ids = None
+    def _with_adj(self, adj) -> "Graph":
+        """This graph's labels over adj, a list of frozen neighbourhoods."""
+        g = Graph.__new__(Graph)
+        g.n = self.n
+        g.labels = self.labels
+        g.adj = tuple(adj)
+        g._label_ids = self._label_ids
         return g
 
     def vertex(self, label: str) -> int:
@@ -95,14 +97,22 @@ class Graph:
         return sum(len(a) for a in self.adj) // 2
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with the given edges added (self-loops rejected)."""
-        adj = [set(a) for a in self.adj]
+        """New graph with the given edges added (self-loops rejected).
+
+        Only the endpoints that gain a neighbour get a new neighbourhood;
+        every other one is shared with this graph.
+        """
+        added: dict[int, set[int]] = {}
         for u, v in extra:
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        return Graph._from_adj(self.labels, adj)
+            added.setdefault(u, set()).add(v)
+            added.setdefault(v, set()).add(u)
+        adj = list(self.adj)
+        for x, nbrs in added.items():
+            if not nbrs <= adj[x]:
+                adj[x] = adj[x] | nbrs
+        return self._with_adj(adj)
 
     def __eq__(self, other):
         if isinstance(other, Graph):
@@ -217,9 +227,11 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
     per-vertex cliques are re-applied until nothing changes.  The least
     fixpoint is unique, hence independent of any ordering of U.  The
     resulting graph has exactly the minimal separators of G that avoid U.
+    Only the neighbourhoods that grow are rebuilt; the rest are shared
+    with G.
     """
     members = sorted(set(U))
-    adj = [set(a) for a in G.adj]
+    adj = list(G.adj)
     changed = True
     while changed:
         changed = False
@@ -228,9 +240,9 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
             for x in closed:
                 grow = closed - {x} - adj[x]
                 if grow:
-                    adj[x] |= grow
+                    adj[x] = adj[x] | grow
                     changed = True
-    return Graph._from_adj(G.labels, adj)
+    return G._with_adj(adj)
 
 
 def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:

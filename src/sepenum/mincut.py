@@ -39,9 +39,16 @@ class FlowNetwork:
     Scratch structure: create, run max_flow once, then query cuts/paths.
     Vertices in `removed` are absent from the graph entirely.  Raises
     SourceSinkAdjacent if a source is the sink or adjacent to it.
+
+    `flow` is an optional starting flow: source-to-sink edge paths of G,
+    each from one of the sources, that avoid the removed vertices and are
+    internally vertex-disjoint, such as a subset of another network's
+    `disjoint_paths()` on a subgraph.  max_flow then only augments from
+    there; the value and both cuts are the same as from zero, since every
+    maximum flow leaves the same vertices residual-reachable.
     """
 
-    def __init__(self, G: Graph, sources, sink: int, removed=()):
+    def __init__(self, G: Graph, sources, sink: int, removed=(), flow=()):
         self.adj = G.adj
         self.sink = sink
         removed = set(removed)
@@ -53,11 +60,18 @@ class FlowNetwork:
         self.blocked = bytearray(G.n)
         for v in (*self.sources, *removed):
             self.blocked[v] = 1
-        self.pred = [-1] * G.n
-        self.succ = [-1] * G.n
+        pred = self.pred = [-1] * G.n
+        succ = self.succ = [-1] * G.n
         self.parent: dict[int, int] = {}  # of the last search: state -> state
         self.value = 0
         self._ran = False
+        for path in flow:  # link every inner vertex to its path neighbours
+            assert path[0] in self.sources and path[-1] == sink
+            for u, w, x in zip(path, path[1:-1], path[2:]):
+                assert not self.blocked[w] and pred[w] < 0 and w in self.adj[u]
+                pred[w], succ[w] = u, x
+            assert sink in self.adj[path[-2]]
+            self.value += 1
 
     def _search(self) -> bool:
         """One residual BFS from the sources; True if it reached the sink."""
@@ -178,8 +192,8 @@ class CutResult:
     disjoint_paths: list[list[int]] = field(default_factory=list)
 
 
-def _min_cut(G: Graph, sources, sink: int, removed=()) -> FlowNetwork:
-    net = FlowNetwork(G, sources, sink, removed)
+def _min_cut(G: Graph, sources, sink: int, removed=(), flow=()) -> FlowNetwork:
+    net = FlowNetwork(G, sources, sink, removed, flow)
     net.max_flow()
     return net
 

@@ -8,6 +8,15 @@ every minimal separator through v_i.  The cheapest member of a cell is
 the minimum cut of the working graph minus the include-set, plus the
 include-set itself.
 
+Each queued cell carries the disjoint paths of its own maximum flow, and
+a child's flow starts from them.  The child's graph only gains edges, so
+the parent's paths that avoid the child's include-set are still a flow
+there.  Every parent path crosses S minus the parent's include-set in
+exactly one vertex, so the child starts with |S| - |include-set| paths
+and needs one augmenting search per path it lacks, plus the last, failed
+one.  The working graphs share every neighbourhood `saturate` leaves
+unchanged, so a queued cell costs one n-slot tuple plus the grown sets.
+
 The ranked stream is sound (every emission separates the original graph),
 duplicate-free, non-decreasing in size, and emits every *minimal*
 separator; supersets of an emitted separator are pruned by construction,
@@ -28,16 +37,18 @@ from .graph import (
     is_separator,
     saturate,
 )
-from .mincut import _min_cut, _terminal_flow
+from .mincut import FlowNetwork, _min_cut, _terminal_flow
 
 
-def _lawler(G: Graph, term: Terminals, first: Separator,
+def _lawler(G: Graph, term: Terminals, root: FlowNetwork,
             size_gate: int | None) -> Iterator[Separator]:
     """Common queue loop; size_gate is the overall minimum (None = ranked)."""
     tick = _counter()
-    queue = [((len(first), first), next(tick), G, frozenset(), frozenset())]
+    first = root.closest_cut()
+    queue = [((len(first), first), next(tick), G, frozenset(), frozenset(),
+              root.disjoint_paths())]
     while queue:
-        (_, S), _, H, include, excluded = heappop(queue)
+        (_, S), _, H, include, excluded, paths = heappop(queue)
         yield S
         prefix: list[int] = []
         for v in S:
@@ -48,7 +59,9 @@ def _lawler(G: Graph, term: Terminals, first: Separator,
             H_v = saturate(H, (v,))
             if H_v.has_edge(term.s, term.t):
                 continue
-            net = _min_cut(H_v, (term.s,), term.t, removed=include_i)
+            # the parent's flow minus its paths through include_i is feasible
+            warm = [p for p in paths if include_i.isdisjoint(p)]
+            net = _min_cut(H_v, (term.s,), term.t, removed=include_i, flow=warm)
             if net.value == 0:
                 continue
             if size_gate is not None and net.value != size_gate - len(include_i):
@@ -57,15 +70,16 @@ def _lawler(G: Graph, term: Terminals, first: Separator,
             excluded_v = excluded | {v}
             assert is_separator(G, term, T)
             assert include_i <= set(T) and not excluded_v & set(T)
-            heappush(queue, ((len(T), T), next(tick), H_v, include_i, excluded_v))
+            heappush(queue, ((len(T), T), next(tick), H_v, include_i, excluded_v,
+                             net.disjoint_paths()))
 
 
 def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield s,t-separators in non-decreasing cardinality, no duplicates."""
-    return _lawler(G, term, _terminal_flow(G, term).closest_cut(), None)
+    return _lawler(G, term, _terminal_flow(G, term), None)
 
 
 def iter_minimum_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield exactly the minimum-cardinality s,t-separators, each once."""
-    first = _terminal_flow(G, term).closest_cut()
-    return _lawler(G, term, first, len(first))
+    root = _terminal_flow(G, term)
+    return _lawler(G, term, root, root.value)

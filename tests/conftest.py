@@ -26,6 +26,24 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     raise AssertionError("unreachable")
 
 
+def band(width: int, length: int) -> tuple[Graph, Terminals]:
+    """B(w, L): a w-by-L grid, s (vertex 0) joined to its first column and
+    t (vertex 1) to its last; its connectivity is w."""
+
+    def cell(r, c):
+        return 2 + c * width + r
+
+    edges = [(0, cell(r, 0)) for r in range(width)]
+    edges += [(cell(r, length - 1), 1) for r in range(width)]
+    for c in range(length):
+        for r in range(width):
+            if r + 1 < width:
+                edges.append((cell(r, c), cell(r + 1, c)))
+            if c + 1 < length:
+                edges.append((cell(r, c), cell(r, c + 1)))
+    return Graph(2 + width * length, edges), Terminals(0, 1)
+
+
 def nonadjacent_pairs(G: Graph):
     return [
         Terminals(s, t)

@@ -132,6 +132,13 @@ def test_check_non_separator_json(capsys):
     }
 
 
+def test_check_set_with_a_terminal_names_it_by_label(capsys):
+    code, out, err = run(capsys, "check", P4, "-s", "s", "-t", "t", "--set", "s")
+    assert (code, out, err) == (1, "", "error: --set contains terminal 's'\n")
+    code, out, err = run(capsys, "check", P4, "-s", "s", "-t", "t", "--set", "a,t")
+    assert (code, out, err) == (1, "", "error: --set contains terminal 't'\n")
+
+
 def test_check_survives_disconnected_input(capsys, tmp_path):
     path = tmp_path / "disc.edges"
     path.write_text("s a\nt b\n")

@@ -16,8 +16,8 @@ from sepenum.errors import (
     VertexNotOnPath,
     VertexRemoved,
 )
-from sepenum.graph import Terminals, parse_graph
-from sepenum.oracle import DIAMOND, P4, THETA
+from sepenum.graph import Graph, Terminals, parse_graph
+from sepenum.oracle import DIAMOND, P4, THETA, random_graph
 
 from conftest import nonadjacent_pairs, random_connected_graph
 
@@ -185,6 +185,50 @@ def test_absorb_requires_neighbor():
 def test_absorb_never_removes_edges():
     g = THETA.graph
     assert edge_set(g) <= edge_set(sp.absorb(g, 0, 1))
+
+
+def _saturate_by_full_copy(g, U):
+    adj = [set(a) for a in g.adj]
+    changed = True
+    while changed:
+        changed = False
+        for u in sorted(set(U)):
+            closed = adj[u] | {u}
+            for x in closed:
+                grow = closed - {x} - adj[x]
+                if grow:
+                    adj[x] |= grow
+                    changed = True
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in adj[u] if u < v], g.labels)
+
+
+def _shares_what_it_leaves(g, h):
+    for before, after in zip(g.adj, h.adj):
+        assert isinstance(after, frozenset)
+        assert (after is before) == (after == before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rewrites_equal_a_full_copy_and_share_untouched_neighbourhoods(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    g = random_graph(n, data.draw(st.sampled_from((0.15, 0.3, 0.5)), label="p"),
+                     data.draw(st.integers(0, 10_000), label="seed"))
+    vertex = st.integers(0, n - 1)
+    U = data.draw(st.sets(vertex, max_size=3), label="U")
+    h = sp.saturate(g, U)
+    assert h == _saturate_by_full_copy(g, U)
+    _shares_what_it_leaves(g, h)
+    s = data.draw(vertex, label="s")
+    S = data.draw(st.sets(vertex.filter(lambda v: v != s)), label="S")
+    h = sp.add_star(g, s, S)
+    assert h == Graph(n, [*g.edges(), *((s, v) for v in S)], g.labels)
+    _shares_what_it_leaves(g, h)
+    for v in g.adj[s]:
+        h = sp.absorb(g, s, v)
+        assert h == Graph(n, [*g.edges(), *((s, y) for y in g.adj[v] if y != s)],
+                          g.labels)
+        _shares_what_it_leaves(g, h)
 
 
 # ---------------------------------------------------------------------------

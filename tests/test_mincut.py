@@ -10,7 +10,7 @@ from sepenum.graph import Graph, Terminals, parse_graph
 from sepenum.mincut import FlowNetwork, flow_call_count
 from sepenum.oracle import DIAMOND, P4, THETA, random_graph
 
-from conftest import nonadjacent_pairs, random_connected_graph
+from conftest import band, nonadjacent_pairs, random_connected_graph
 
 
 def test_kappa_examples():
@@ -180,9 +180,9 @@ def test_flow_network_counter_increments():
     assert net.closest_cut() == (1,) and net.furthest_cut() == (2,)
 
 
-def _check_flow(g, sources, sink, removed) -> int:
+def _check_flow(g, sources, sink, removed, flow=()) -> FlowNetwork:
     """Run the kernel and check its cuts and paths against each other."""
-    net = FlowNetwork(g, sources, sink, removed)
+    net = FlowNetwork(g, sources, sink, removed, flow)
     value = net.max_flow()
     closest, furthest = net.closest_cut(), net.furthest_cut()
     paths = net.disjoint_paths()
@@ -206,7 +206,7 @@ def _check_flow(g, sources, sink, removed) -> int:
         assert not set(path) & removed
     for p1, p2 in itertools.combinations(paths, 2):
         assert not set(p1[1:-1]) & set(p2[1:-1])
-    return value
+    return net
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,7 +233,59 @@ def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
     g = Graph(40, [(0, 4), (0, 35), (2, 8), (2, 10), (2, 30), (2, 39), (3, 8),
                    (3, 29), (4, 8), (5, 30), (5, 37), (9, 15), (9, 39), (10, 19),
                    (15, 19), (15, 35), (19, 29), (29, 37)])
-    assert _check_flow(g, {29}, 39, set()) == 2
+    assert _check_flow(g, {29}, 39, set()).value == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flow_network_from_part_of_a_max_flow(data):
+    # Start from some of the paths of a cold maximum flow, in the same graph
+    # or in one with extra edges and extra removed vertices, dropping the
+    # paths through those: the value and both cuts are the cold start's.
+    n = data.draw(st.integers(3, 12), label="n")
+    p = data.draw(st.sampled_from((0.15, 0.3, 0.5)), label="p")
+    g = random_graph(n, p, data.draw(st.integers(0, 10_000), label="seed"))
+    sink = data.draw(st.integers(0, n - 1), label="sink")
+    far = [v for v in range(n) if v != sink and v not in g.adj[sink]]
+    if not far:
+        return
+    sources = data.draw(st.sets(st.sampled_from(far), min_size=1), label="sources")
+    base = FlowNetwork(g, sources, sink)
+    base.max_flow()
+    paths = base.disjoint_paths()
+    kept = data.draw(st.sets(st.sampled_from(range(len(paths))))
+                     if paths else st.just(set()), label="kept")
+    inner = [v for v in range(n) if v != sink and v not in sources]
+    removed = data.draw(st.sets(st.sampled_from(inner)) if inner else st.just(set()),
+                        label="removed")
+    pairs = list(itertools.combinations(range(n), 2))
+    h = g.with_edges(data.draw(st.lists(st.sampled_from(pairs), max_size=4),
+                               label="edges"))
+    if not h.adj[sink].isdisjoint(sources):
+        return
+    start = [paths[i] for i in sorted(kept) if removed.isdisjoint(paths[i])]
+    warm = _check_flow(h, sources, sink, removed, start)
+    cold = FlowNetwork(h, sources, sink, removed)
+    assert warm.value == cold.max_flow()
+    assert warm.closest_cut() == cold.closest_cut()
+    assert warm.furthest_cut() == cold.furthest_cut()
+
+
+def test_a_maximum_starting_flow_needs_no_augmenting_search():
+    g, term = band(4, 12)
+    cold = FlowNetwork(g, (term.s,), term.t)
+    assert cold.max_flow() == 4
+    warm = FlowNetwork(g, (term.s,), term.t, flow=cold.disjoint_paths())
+    found = []
+    search = warm._search
+    def counted_search():
+        found.append(search())
+        return found[-1]
+    warm._search = counted_search
+    assert warm.max_flow() == 4 and found == [False]
+    assert warm.closest_cut() == cold.closest_cut()
+    assert warm.furthest_cut() == cold.furthest_cut()
+    assert warm.disjoint_paths() == cold.disjoint_paths()
 
 
 def test_kappa_on_a_long_cycle():

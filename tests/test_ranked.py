@@ -1,11 +1,14 @@
+from itertools import islice
+
 import pytest
 
 import sepenum as sp
 from sepenum.errors import AlreadySeparated, TerminalsAdjacent
 from sepenum.graph import Terminals, parse_graph
+from sepenum.mincut import FlowNetwork
 from sepenum.oracle import DIAMOND, P4, THETA
 
-from conftest import nonadjacent_pairs, random_connected_graph
+from conftest import band, nonadjacent_pairs, random_connected_graph
 
 
 def test_ranked_traces():
@@ -53,3 +56,37 @@ def test_minimum_matches_brute_on_random_graphs():
             assert set(got) == minimum
             k = min(len(X) for X in minimum)
             assert all(len(X) == k for X in got)
+
+
+def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
+    # The children of an emitted S are built while the stream computes its
+    # next item.  Child i removes include_i and starts from the parent's
+    # paths that avoid it: each path crosses S - include in one vertex.
+    starts = []
+    build = FlowNetwork.__init__
+
+    def spy(self, G, sources, sink, removed=(), flow=()):
+        flow = list(flow)
+        starts.append((len(set(removed)), len(flow)))
+        build(self, G, sources, sink, removed, flow)
+
+    monkeypatch.setattr(FlowNetwork, "__init__", spy)
+    cases = [(*band(3, 30), 100)]
+    for seed in range(12):
+        g = random_connected_graph(6 + seed % 4, (0.3, 0.45)[seed % 2], 4100 + seed)
+        cases += [(g, term, None) for term in nonadjacent_pairs(g)]
+    children = 0
+    for g, term, limit in cases:
+        for enumerate_ in (sp.iter_ranked_separators, sp.iter_minimum_separators):
+            starts.clear()
+            stream = islice(enumerate_(g, term), limit)
+            assert starts == [(0, 0)]  # the terminal flow starts from zero
+            starts.clear()
+            parent = next(stream)
+            while parent is not None:
+                S = next(stream, None)  # builds the children of parent
+                assert all(warm == len(parent) - include for include, warm in starts)
+                children += len(starts)
+                starts.clear()
+                parent = S
+    assert children > 500
