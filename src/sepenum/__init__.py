@@ -8,21 +8,9 @@ and brute-force oracles for validating all of the above at small scale.
 
 from .errors import (
     AlreadySeparated,
-    MalformedLine,
-    NotANeighbor,
-    NotAPath,
-    NotASeparator,
-    NotChordless,
-    NotMinimal,
-    SelfLoop,
     SepenumError,
-    SourceSinkAdjacent,
-    TerminalInSet,
     TerminalsAdjacent,
-    TooLarge,
     UnknownLabel,
-    VertexNotOnPath,
-    VertexRemoved,
 )
 from .fpt import iter_small_minimal, pop_key
 from .graph import (
@@ -52,15 +40,9 @@ from .mincut import (
     min_separator_excluding,
 )
 from .oracle import (
-    DIAMOND,
-    FIXTURES,
-    P4,
-    THETA,
-    Fixture,
     brute_chordless_paths_through,
     brute_important,
     brute_minimal_separators,
     brute_minimum_separators,
-    random_graph,
 )
 from .ranked import iter_minimum_separators, iter_ranked_separators

@@ -5,10 +5,11 @@ and reports separators as lines of comma-joined sorted labels, or as
 JSON lines with --json.  Enumeration subcommands flush per line so the
 delay between outputs is observable externally.
 
-Exit codes: 0 success (including empty enumerations); 1 usage or parse
-error; 2 invalid terminals (unknown label, equal, or adjacent -- for
-list-minimal an adjacent pair prints the bottom marker "BOTTOM");
-3 terminals already separated.
+Exit codes, one per outcome: 0 success (including empty enumerations);
+1 bad input: usage, parse or file errors (SepenumError); 2 invalid
+terminals: an unknown label (UnknownLabel), or equal or adjacent terminals
+(TerminalsAdjacent; for list-minimal an adjacent pair prints the bottom
+marker "BOTTOM"); 3 terminals already separated (AlreadySeparated).
 """
 
 import argparse
@@ -17,13 +18,7 @@ import sys
 from itertools import islice
 from typing import Iterable
 
-from .errors import (
-    AlreadySeparated,
-    SepenumError,
-    TerminalInSet,
-    TerminalsAdjacent,
-    UnknownLabel,
-)
+from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent, UnknownLabel
 from .fpt import iter_small_minimal
 from .graph import (
     Graph,
@@ -46,13 +41,9 @@ EXIT_BAD_TERMINALS = 2
 EXIT_SEPARATED = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise SepenumError(message)
 
 
 def _build_parser() -> _Parser:
@@ -119,11 +110,9 @@ def _stream(G: Graph, seps: Iterable[Separator], limit, as_json: bool) -> int:
 
 def _run(args) -> int:
     if getattr(args, "limit", None) is not None and args.limit < 0:
-        raise _UsageError("--limit must be non-negative")
+        raise SepenumError("--limit must be non-negative")
     G = _read_graph(args.file)
     s, t = G.vertex(args.source), G.vertex(args.target)
-    if s == t:
-        raise UnknownLabel("source and target labels must differ")
     term = Terminals(s, t)
     if G.has_edge(s, t):
         if args.command == "list-minimal":
@@ -159,7 +148,7 @@ def _run(args) -> int:
         members = canonical(G.vertex(lab) for lab in args.members.split(","))
         for v in term:
             if v in members:
-                raise TerminalInSet(f"--set contains terminal {G.labels[v]!r}")
+                raise SepenumError(f"--set contains terminal {G.labels[v]!r}")
         separator = is_separator(G, term, members)
         minimal = separator and is_minimal_separator(G, term, members)
         important = minimal and is_important(G, term, members)
@@ -189,27 +178,15 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _run(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownLabel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_TERMINALS
-    except TerminalsAdjacent as exc:
+        return _run(_build_parser().parse_args(argv))
+    except (UnknownLabel, TerminalsAdjacent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_TERMINALS
     except AlreadySeparated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEPARATED
-    except (SepenumError, OSError, ValueError) as exc:
+    except (SepenumError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -41,11 +41,8 @@ def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
 
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     """Yield every minimal s,t-separator of size at most k exactly once."""
-    if term.s == term.t:
-        raise ValueError("terminals must be distinct")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    seeds = enumerate_important(G, term, k)  # raises on adjacent/separated terminals
+    # eager, so a bad k or bad terminals raise here and not at the first pull
+    seeds = enumerate_important(G, term, k)
 
     def generate():
         queue: list[tuple[int, Separator]] = []

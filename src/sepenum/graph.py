@@ -14,29 +14,33 @@ predicate and construction below rests, are set computations over them.
 
 from typing import AbstractSet, Iterable, NamedTuple
 
-from .errors import (
-    AlreadySeparated,
-    MalformedLine,
-    NotANeighbor,
-    NotAPath,
-    NotASeparator,
-    NotChordless,
-    SelfLoop,
-    TerminalInSet,
-    TerminalsAdjacent,
-    UnknownLabel,
-    VertexNotOnPath,
-    VertexRemoved,
-)
+from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent, UnknownLabel
 
 # A separator is a canonical (strictly increasing, duplicate-free) tuple of
 # vertex ids, always disjoint from the terminals of the operation at hand.
 Separator = tuple[int, ...]
 
 
-class Terminals(NamedTuple):
+# A NamedTuple class body may not define __new__, so Terminals checks its
+# fields in a subclass.
+class _Pair(NamedTuple):
     s: int
     t: int
+
+
+class Terminals(_Pair):
+    """Source and target of a separator query; they must differ."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: int, t: int):
+        if s == t:
+            raise TerminalsAdjacent("source and target are the same vertex")
+        return super().__new__(cls, s, t)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 class Graph:
@@ -50,13 +54,13 @@ class Graph:
         else:
             labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
-            raise ValueError("labels must be distinct and one per vertex")
+            raise SepenumError("labels must be distinct and one per vertex")
         adj = [set() for _ in range(n)]
         for u, v in edges:
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise SepenumError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise SepenumError(f"self-loop at vertex {labels[u]!r}")
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
@@ -105,7 +109,7 @@ class Graph:
         added: dict[int, set[int]] = {}
         for u, v in extra:
             if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
+                raise SepenumError(f"self-loop at vertex {self.labels[u]!r}")
             added.setdefault(u, set()).add(v)
             added.setdefault(v, set()).add(u)
         adj = list(self.adj)
@@ -147,10 +151,10 @@ def parse_graph(text: str) -> Graph:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise MalformedLine(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+            raise SepenumError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
         u_lab, v_lab = tokens
         if u_lab == v_lab:
-            raise SelfLoop(f"line {lineno}: self-loop at {u_lab!r}")
+            raise SepenumError(f"line {lineno}: self-loop at {u_lab!r}")
         for lab in (u_lab, v_lab):
             if lab not in ids:
                 ids[lab] = len(labels)
@@ -166,9 +170,15 @@ def canonical(vertices: Iterable[int]) -> Separator:
     return tuple(sorted(set(vertices)))
 
 
-def _check_avoids_terminals(term: Terminals, members: Separator) -> None:
+def _names(G: Graph, vertices: Iterable[int]) -> str:
+    """The labels of vertices, comma-joined in id order, for messages."""
+    return ",".join(G.labels[v] for v in sorted(vertices))
+
+
+def _check_avoids_terminals(G: Graph, term: Terminals, members: Separator) -> None:
     if term.s in members or term.t in members:
-        raise TerminalInSet(f"set {members} contains a terminal of {term}")
+        raise SepenumError(f"set {_names(G, members)} contains a terminal of "
+                           f"{G.labels[term.s]},{G.labels[term.t]}")
 
 
 def _component(adj, start: Iterable[int], blocked: AbstractSet[int]) -> set[int]:
@@ -190,14 +200,14 @@ def component_of(G: Graph, removed: Iterable[int], v: int) -> frozenset:
     """Connected component of v in G minus the removed vertices."""
     removed = set(removed)
     if v in removed:
-        raise VertexRemoved(f"vertex {v} is removed")
+        raise SepenumError(f"vertex {G.labels[v]!r} is removed")
     return frozenset(_component(G.adj, (v,), removed))
 
 
 def is_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     """True iff t is unreachable from s in G minus X."""
     members = canonical(X)
-    _check_avoids_terminals(term, members)
+    _check_avoids_terminals(G, term, members)
     return term.t not in _component(G.adj, (term.s,), set(members))
 
 
@@ -208,7 +218,7 @@ def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     G minus X each have all of X as their neighborhood.
     """
     members = canonical(X)
-    _check_avoids_terminals(term, members)
+    _check_avoids_terminals(G, term, members)
     adj, xset = G.adj, set(members)
     comp_s = _component(adj, (term.s,), xset)
     if term.t in comp_s or _boundary(adj, comp_s) != xset:
@@ -249,7 +259,7 @@ def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:
     """Add all edges from s to the members of S."""
     members = canonical(S)
     if s in members:
-        raise ValueError(f"vertex {s} cannot be joined to itself")
+        raise SepenumError(f"vertex {G.labels[s]!r} cannot be joined to itself")
     return G.with_edges((s, v) for v in members)
 
 
@@ -260,18 +270,26 @@ def absorb(G: Graph, s: int, v: int) -> Graph:
     any other vertex can contain v.
     """
     if v not in G.adj[s]:
-        raise NotANeighbor(f"vertex {v} is not adjacent to {s}")
+        raise SepenumError(f"vertex {G.labels[v]!r} is not adjacent to {G.labels[s]!r}")
     return G.with_edges((s, y) for y in G.adj[v] if y != s)
 
 
 # ---------------------------------------------------------------------------
 # separator constructions
 
+def _require_apart(G: Graph, sources: AbstractSet[int], sink: int) -> None:
+    """Raise TerminalsAdjacent when sink lies in the closed neighbourhood
+    of the sources: then no vertex set avoiding both separates them."""
+    if sink in sources or not G.adj[sink].isdisjoint(sources):
+        raise TerminalsAdjacent(f"{G.labels[sink]!r} is in the closed "
+                                f"neighbourhood of {_names(G, sources)}")
+
+
 def _require_separable(G: Graph, term: Terminals) -> None:
-    if G.has_edge(term.s, term.t):
-        raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
+    _require_apart(G, {term.s}, term.t)
     if term.t not in _component(G.adj, (term.s,), set()):
-        raise AlreadySeparated(f"terminals {term.s},{term.t} already separated")
+        raise AlreadySeparated(
+            f"terminals {G.labels[term.s]},{G.labels[term.t]} already separated")
 
 
 def close_separator(G: Graph, term: Terminals) -> Separator:
@@ -292,7 +310,8 @@ def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
     """
     members = canonical(X)
     if not is_separator(G, term, members):
-        raise NotASeparator(f"{members} does not separate {term.s} from {term.t}")
+        raise SepenumError(f"set {_names(G, members)} does not separate "
+                           f"{G.labels[term.s]!r} from {G.labels[term.t]!r}")
     adj = G.adj
     side_s = _boundary(adj, _component(adj, (term.s,), set(members)))
     return canonical(_boundary(adj, _component(adj, (term.t,), side_s)))
@@ -300,16 +319,16 @@ def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
 
 def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
     if len(path) < 2 or path[0] != term.s or path[-1] != term.t:
-        raise NotAPath("path must start at s and end at t")
+        raise SepenumError("path must start at s and end at t")
     if len(set(path)) != len(path):
-        raise NotAPath("path vertices must be distinct")
+        raise SepenumError("path vertices must be distinct")
     for a, b in zip(path, path[1:]):
         if not G.has_edge(a, b):
-            raise NotAPath(f"({a},{b}) is not an edge")
+            raise SepenumError(f"({G.labels[a]},{G.labels[b]}) is not an edge")
     for i in range(len(path)):
         for j in range(i + 2, len(path)):
             if G.has_edge(path[i], path[j]):
-                raise NotChordless(f"chord ({path[i]},{path[j]})")
+                raise SepenumError(f"chord ({G.labels[path[i]]},{G.labels[path[j]]})")
 
 
 def chordless_path_to_separator(
@@ -325,9 +344,9 @@ def chordless_path_to_separator(
     """
     _validate_chordless_path(G, term, path)
     if v == term.s or v == term.t:
-        raise TerminalInSet(f"vertex {v} is a terminal")
+        raise SepenumError(f"vertex {G.labels[v]!r} is a terminal")
     if v not in path:
-        raise VertexNotOnPath(f"vertex {v} not on path")
+        raise SepenumError(f"vertex {G.labels[v]!r} not on path")
     idx = path.index(v)
     adj = G.adj
     prefix_nbrs = _boundary(adj, set(path[:idx]))

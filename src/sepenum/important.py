@@ -10,7 +10,7 @@ exactly when S is the minimum (R, s)-cut whose R-side is inclusion-maximal.
 That duality drives both the constant-time test and the branching below.
 """
 
-from .errors import NotMinimal
+from .errors import SepenumError
 from .graph import (
     Graph,
     Separator,
@@ -25,10 +25,13 @@ from .mincut import _min_cut, min_separator_between
 
 
 def is_important(G: Graph, term: Terminals, X) -> bool:
-    """Test importance of a minimal separator without any enumeration."""
+    """True iff X is an important separator (so, first, a minimal one).
+
+    Decided without any enumeration, by one flow.
+    """
     members = canonical(X)
     if not is_minimal_separator(G, term, members):
-        raise NotMinimal(f"{members} is not a minimal separator")
+        return False
     R = component_of(G, members, term.t)
     return min_separator_between(G, R, term.s, "furthest") == members
 
@@ -60,11 +63,12 @@ def _candidates(G: Graph, sources: frozenset, sink: int, removed: frozenset,
 def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     """All important s,t-separators of size at most k, by (size, members).
 
-    The branching produces a superset of at most 4^k candidates; a
-    minimality-plus-importance filter then makes the result exact.
+    The branching produces a superset of at most 4^k candidates; the
+    importance test, which checks minimality first, then makes the result
+    exact.
     """
     if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+        raise SepenumError(f"k must be at least 1, got {k}")
     _require_separable(G, term)
     raw: set[frozenset] = set()
     _candidates(G, frozenset((term.t,)), term.s, frozenset(), k, frozenset(), raw)
@@ -72,7 +76,7 @@ def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     for members in raw:
         cand = canonical(members)
         assert len(cand) <= k
-        if is_minimal_separator(G, term, cand) and is_important(G, term, cand):
+        if is_important(G, term, cand):
             found.append(cand)
     found.sort(key=lambda sep: (len(sep), sep))
     return found

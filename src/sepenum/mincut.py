@@ -15,12 +15,13 @@ bounds can be checked externally.
 
 from dataclasses import dataclass, field
 
-from .errors import AlreadySeparated, SourceSinkAdjacent, TerminalsAdjacent
+from .errors import AlreadySeparated, SepenumError
 from .graph import (
     Graph,
     Separator,
     Terminals,
     _check_avoids_terminals,
+    _require_apart,
     canonical,
     saturate,
 )
@@ -38,7 +39,7 @@ class FlowNetwork:
 
     Scratch structure: create, run max_flow once, then query cuts/paths.
     Vertices in `removed` are absent from the graph entirely.  Raises
-    SourceSinkAdjacent if a source is the sink or adjacent to it.
+    TerminalsAdjacent if a source is the sink or adjacent to it.
 
     `flow` is an optional starting flow: source-to-sink edge paths of G,
     each from one of the sources, that avoid the removed vertices and are
@@ -52,10 +53,9 @@ class FlowNetwork:
         self.adj = G.adj
         self.sink = sink
         removed = set(removed)
-        self.sources = sorted(set(sources) - removed)
-        if sink in self.sources or not self.adj[sink].isdisjoint(self.sources):
-            raise SourceSinkAdjacent(
-                f"vertex {sink} is in the closed neighborhood of the sources")
+        source_set = set(sources) - removed
+        _require_apart(G, source_set, sink)
+        self.sources = sorted(source_set)
         # sources and removed vertices are never entered from a neighbour
         self.blocked = bytearray(G.n)
         for v in (*self.sources, *removed):
@@ -200,11 +200,10 @@ def _min_cut(G: Graph, sources, sink: int, removed=(), flow=()) -> FlowNetwork:
 
 def _terminal_flow(G: Graph, term: Terminals) -> FlowNetwork:
     """Maximum s,t-flow; the terminals must be neither adjacent nor separated."""
-    if G.has_edge(term.s, term.t):
-        raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
     net = _min_cut(G, (term.s,), term.t)
     if net.value == 0:
-        raise AlreadySeparated(f"terminals {term.s},{term.t} already separated")
+        raise AlreadySeparated(
+            f"terminals {G.labels[term.s]},{G.labels[term.t]} already separated")
     return net
 
 
@@ -223,17 +222,17 @@ def min_separator_between(G: Graph, A, t: int, side: str) -> Separator:
     """Minimum vertex separator between the set A and the vertex t.
 
     side="closest" gives the cut with inclusion-minimal A-side component,
-    side="furthest" the inclusion-maximal one.  Raises SourceSinkAdjacent
+    side="furthest" the inclusion-maximal one.  Raises TerminalsAdjacent
     when t lies in the closed neighborhood of A.
     """
     if side not in ("closest", "furthest"):
-        raise ValueError(f"side must be 'closest' or 'furthest', got {side!r}")
+        raise SepenumError(f"side must be 'closest' or 'furthest', got {side!r}")
     sources = canonical(A)
     if not sources:
-        raise ValueError("source set A must be nonempty")
+        raise SepenumError("source set A must be nonempty")
     net = _min_cut(G, sources, t)
     if net.value == 0:
-        raise AlreadySeparated(f"{t} unreachable from source set")
+        raise AlreadySeparated(f"{G.labels[t]!r} unreachable from the source set")
     return net.closest_cut() if side == "closest" else net.furthest_cut()
 
 
@@ -244,9 +243,7 @@ def min_separator_containing(G: Graph, term: Terminals, I) -> Separator | None:
     the witness is I plus the closest-to-s minimum cut of the remainder.
     """
     members = canonical(I)
-    _check_avoids_terminals(term, members)
-    if G.has_edge(term.s, term.t):
-        raise TerminalsAdjacent(f"terminals {term.s},{term.t} are adjacent")
+    _check_avoids_terminals(G, term, members)
     k_full = _min_cut(G, (term.s,), term.t).value
     net = _min_cut(G, (term.s,), term.t, removed=members)
     if net.value != k_full - len(members):
@@ -262,7 +259,7 @@ def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
     minimum cut of the saturated graph.
     """
     members = canonical(U)
-    _check_avoids_terminals(term, members)
+    _check_avoids_terminals(G, term, members)
     H = saturate(G, members)
     if H.has_edge(term.s, term.t):
         return None

@@ -1,42 +1,21 @@
-"""Brute-force reference implementations and shared test fixtures.
+"""Brute-force reference implementations.
 
 Everything here is intentionally naive: exhaustive subset or path
 enumeration guarded by hard size limits.  The oracles share no code with
-the algorithms they validate beyond the Graph type and the parser: each
+the algorithms they validate beyond the Graph and Terminals types: each
 one encodes the adjacency as one bitmask per vertex for itself (cheap at
 the n <= 16 the guards allow) and runs its own reachability over them.
 """
 
-import random
-from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import TooLarge
-from .graph import Graph, Separator, Terminals, parse_graph
-
-
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    graph: Graph
-    terminals: Terminals
-
-
-def _fixture(name: str, text: str) -> Fixture:
-    g = parse_graph(text)
-    return Fixture(name, g, Terminals(g.vertex("s"), g.vertex("t")))
-
-
-P4 = _fixture("P4", "s a\na b\nb t")
-DIAMOND = _fixture("DIAMOND", "s a\ns b\na t\nb t")
-THETA = _fixture("THETA", "s a\na t\ns b\nb c\nc t")
-
-FIXTURES = {f.name: f for f in (P4, DIAMOND, THETA)}
+from .errors import SepenumError
+from .graph import Graph, Separator, Terminals
 
 
 def _guard(G: Graph, limit: int) -> None:
     if G.n > limit:
-        raise TooLarge(f"n={G.n} exceeds oracle guard {limit}")
+        raise SepenumError(f"n={G.n} exceeds oracle guard {limit}")
 
 
 def _mask(vertices) -> int:
@@ -164,17 +143,3 @@ def brute_chordless_paths_through(
 
     extend([term.s], 1 << term.s, 0)
     return paths
-
-
-def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
-    """Erdos-Renyi simple graph, reproducible for a given seed."""
-    if not 0.0 <= edge_probability <= 1.0:
-        raise ValueError("edge_probability must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_probability
-    ]
-    return Graph(n, edges)

@@ -1,16 +1,50 @@
-"""Shared corpora and cached brute-force data for the test suite."""
+"""Shared fixtures, corpora and cached brute-force data for the test suite."""
 
 import itertools
+import random
+from dataclasses import dataclass
 
 import pytest
 
-from sepenum.graph import Graph, Terminals, component_of
+from sepenum.graph import Graph, Terminals, component_of, parse_graph
 from sepenum.oracle import (
     brute_important,
     brute_minimal_separators,
     brute_minimum_separators,
-    random_graph,
 )
+
+
+@dataclass(frozen=True)
+class Fixture:
+    name: str
+    graph: Graph
+    terminals: Terminals
+
+
+def _fixture(name: str, text: str) -> Fixture:
+    g = parse_graph(text)
+    return Fixture(name, g, Terminals(g.vertex("s"), g.vertex("t")))
+
+
+P4 = _fixture("P4", "s a\na b\nb t")
+DIAMOND = _fixture("DIAMOND", "s a\ns b\na t\nb t")
+THETA = _fixture("THETA", "s a\na t\ns b\nb c\nc t")
+
+FIXTURES = {f.name: f for f in (P4, DIAMOND, THETA)}
+
+
+def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
+    """Erdos-Renyi simple graph, reproducible for a given seed."""
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValueError("edge_probability must be in [0, 1]")
+    rng = random.Random(seed)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < edge_probability
+    ]
+    return Graph(n, edges)
 
 
 def is_connected(G: Graph) -> bool:

@@ -139,6 +139,15 @@ def test_check_set_with_a_terminal_names_it_by_label(capsys):
     assert (code, out, err) == (1, "", "error: --set contains terminal 't'\n")
 
 
+def test_already_separated_terminals_are_named_by_label(capsys, tmp_path):
+    path = tmp_path / "disc.edges"
+    path.write_text("s a\nt b\n")
+    for command, *extra in (("minsep",), ("ranked",), ("minimum-all",),
+                            ("list-minimal", "-k", "1"), ("important", "-k", "1")):
+        got = run(capsys, command, str(path), "-s", "s", "-t", "t", *extra)
+        assert got == (3, "", "error: terminals s,t already separated\n"), command
+
+
 def test_check_survives_disconnected_input(capsys, tmp_path):
     path = tmp_path / "disc.edges"
     path.write_text("s a\nt b\n")
@@ -196,6 +205,11 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
     # missing file
     code, _, _ = run(capsys, "minsep", str(tmp_path / "nope"), "-s", "s", "-t", "t")
+    assert code == 1
+    # a file that is not text
+    binary = tmp_path / "binary.edges"
+    binary.write_bytes(b"s \xff\n")
+    code, _, _ = run(capsys, "minsep", str(binary), "-s", "s", "-t", "t")
     assert code == 1
     # usage error
     code, _, _ = run(capsys, "list-minimal", P4, "-s", "s", "-t", "t")

@@ -1,12 +1,11 @@
 import pytest
 
 import sepenum as sp
-from sepenum.errors import AlreadySeparated, TerminalsAdjacent
+from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Terminals, parse_graph
 from sepenum.mincut import flow_call_count
-from sepenum.oracle import DIAMOND, P4, THETA
 
-from conftest import nonadjacent_pairs, random_connected_graph
+from conftest import DIAMOND, P4, THETA, nonadjacent_pairs, random_connected_graph
 
 
 def test_trace_p4():
@@ -32,10 +31,10 @@ def test_already_separated():
 
 
 def test_invalid_k_and_terminals():
-    with pytest.raises(ValueError):
-        list(sp.iter_small_minimal(P4.graph, P4.terminals, 0))
-    with pytest.raises(ValueError):
-        list(sp.iter_small_minimal(P4.graph, Terminals(1, 1), 1))
+    with pytest.raises(SepenumError, match="k must be at least 1, got 0"):
+        sp.iter_small_minimal(P4.graph, P4.terminals, 0)
+    with pytest.raises(TerminalsAdjacent, match="same vertex"):
+        sp.iter_small_minimal(P4.graph, Terminals(1, 1), 1)
 
 
 def test_pop_key_examples():

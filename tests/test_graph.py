@@ -1,25 +1,21 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepenum as sp
-from sepenum.errors import (
-    AlreadySeparated,
-    MalformedLine,
-    NotANeighbor,
-    NotAPath,
-    NotASeparator,
-    NotChordless,
-    SelfLoop,
-    TerminalInSet,
-    TerminalsAdjacent,
-    VertexNotOnPath,
-    VertexRemoved,
-)
+from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, parse_graph
-from sepenum.oracle import DIAMOND, P4, THETA, random_graph
 
-from conftest import nonadjacent_pairs, random_connected_graph
+from conftest import (
+    DIAMOND,
+    P4,
+    THETA,
+    nonadjacent_pairs,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def ids(G, labels: str):
@@ -55,14 +51,14 @@ def test_parse_comments_and_blanks():
 
 
 def test_parse_malformed_line():
-    with pytest.raises(MalformedLine):
+    with pytest.raises(SepenumError, match="line 1: expected 2 tokens, got 3"):
         parse_graph("s a b")
-    with pytest.raises(MalformedLine):
+    with pytest.raises(SepenumError, match="line 1: expected 2 tokens, got 1"):
         parse_graph("s")
 
 
 def test_parse_self_loop():
-    with pytest.raises(SelfLoop):
+    with pytest.raises(SepenumError, match="line 1: self-loop at 's'"):
         parse_graph("s s")
 
 
@@ -78,7 +74,7 @@ def test_component_of_examples():
 
 
 def test_component_of_removed_vertex():
-    with pytest.raises(VertexRemoved):
+    with pytest.raises(SepenumError, match="vertex 'a' is removed"):
         sp.component_of(P4.graph, (1,), 1)
 
 
@@ -91,7 +87,7 @@ def test_is_separator_examples():
 
 
 def test_is_separator_rejects_terminal():
-    with pytest.raises(TerminalInSet):
+    with pytest.raises(SepenumError, match="set s,a contains a terminal of s,t"):
         sp.is_separator(P4.graph, P4.terminals, (0, 1))
 
 
@@ -178,7 +174,7 @@ def test_absorb_examples():
 
 
 def test_absorb_requires_neighbor():
-    with pytest.raises(NotANeighbor):
+    with pytest.raises(SepenumError, match="vertex 'b' is not adjacent to 's'"):
         sp.absorb(P4.graph, 0, 2)
 
 
@@ -241,10 +237,54 @@ def test_close_separator_examples():
     assert sp.close_separator(DIAMOND.graph, DIAMOND.terminals) == ids(DIAMOND.graph, "a b")
 
 
+# every public function that takes Terminals, called on THETA with the given ones
+_TERMINAL_QUERIES = {
+    "is_separator": lambda g, term: sp.is_separator(g, term, ()),
+    "is_minimal_separator": lambda g, term: sp.is_minimal_separator(g, term, ()),
+    "close_separator": sp.close_separator,
+    "minimalize": lambda g, term: sp.minimalize(g, term, (1, 3)),
+    "chordless_path_to_separator":
+        lambda g, term: sp.chordless_path_to_separator(g, term, [0, 1, 2], 1),
+    "kappa": sp.kappa,
+    "min_separator_containing": lambda g, term: sp.min_separator_containing(g, term, ()),
+    "min_separator_excluding": lambda g, term: sp.min_separator_excluding(g, term, ()),
+    "is_important": lambda g, term: sp.is_important(g, term, (1, 3)),
+    "enumerate_important": lambda g, term: sp.enumerate_important(g, term, 2),
+    "iter_small_minimal": lambda g, term: sp.iter_small_minimal(g, term, 2),
+    "iter_ranked_separators": sp.iter_ranked_separators,
+    "iter_minimum_separators": sp.iter_minimum_separators,
+    "brute_minimal_separators": sp.brute_minimal_separators,
+    "brute_important": lambda g, term: sp.brute_important(g, term, 2),
+    "brute_minimum_separators": sp.brute_minimum_separators,
+    "brute_chordless_paths_through":
+        lambda g, term: sp.brute_chordless_paths_through(g, term, 1),
+}
+
+
+def test_terminal_queries_cover_every_public_function_that_takes_terminals():
+    takes = {
+        name for name in dir(sp)
+        if inspect.isfunction(getattr(sp, name))
+        and any(p.annotation is Terminals
+                for p in inspect.signature(getattr(sp, name)).parameters.values())
+    }
+    assert takes == set(_TERMINAL_QUERIES)
+
+
+@pytest.mark.parametrize("name", sorted(_TERMINAL_QUERIES))
+def test_equal_terminals_raise_terminals_adjacent(name):
+    query = _TERMINAL_QUERIES[name]
+    query(THETA.graph, THETA.terminals)  # the call itself is well formed
+    for make in (lambda: Terminals(0, 0), lambda: Terminals(1, 1),
+                 lambda: THETA.terminals._replace(t=0)):
+        with pytest.raises(TerminalsAdjacent, match="source and target are the same vertex"):
+            query(THETA.graph, make())
+
+
 def test_close_separator_errors():
-    with pytest.raises(TerminalsAdjacent):
+    with pytest.raises(TerminalsAdjacent, match="'t' is in the closed neighbourhood of s"):
         sp.close_separator(parse_graph("s t"), Terminals(0, 1))
-    with pytest.raises(AlreadySeparated):
+    with pytest.raises(AlreadySeparated, match="terminals s,t already separated"):
         sp.close_separator(parse_graph("s a\nt b"), Terminals(0, 2))
 
 
@@ -273,7 +313,7 @@ def test_minimalize_examples():
 
 
 def test_minimalize_rejects_non_separator():
-    with pytest.raises(NotASeparator):
+    with pytest.raises(SepenumError, match="set a does not separate 's' from 't'"):
         sp.minimalize(DIAMOND.graph, DIAMOND.terminals, (1,))
 
 
@@ -306,15 +346,15 @@ def test_chordless_path_to_separator_examples():
 
 def test_chordless_path_validation():
     g, term = P4.graph, P4.terminals
-    with pytest.raises(NotAPath):
+    with pytest.raises(SepenumError, match=r"\(s,b\) is not an edge"):
         sp.chordless_path_to_separator(g, term, [0, 2, 3], 2)
-    with pytest.raises(TerminalInSet):
+    with pytest.raises(SepenumError, match="vertex 's' is a terminal"):
         sp.chordless_path_to_separator(g, term, [0, 1, 2, 3], 0)
     th = THETA.graph
-    with pytest.raises(VertexNotOnPath):
+    with pytest.raises(SepenumError, match="vertex 'b' not on path"):
         sp.chordless_path_to_separator(th, THETA.terminals, [0, 1, 2], th.vertex("b"))
     with_chord = sp.add_star(DIAMOND.graph, 1, (2,))  # diamond plus (a,b)
-    with pytest.raises(NotChordless):
+    with pytest.raises(SepenumError, match=r"chord \(s,b\)"):
         sp.chordless_path_to_separator(
             with_chord, DIAMOND.terminals, [0, 1, 2, 3], 1
         )

@@ -3,11 +3,10 @@ import tracemalloc
 import pytest
 
 import sepenum as sp
-from sepenum.errors import AlreadySeparated, NotMinimal, TerminalsAdjacent
+from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, parse_graph
-from sepenum.oracle import DIAMOND, P4, THETA
 
-from conftest import nonadjacent_pairs, random_connected_graph
+from conftest import DIAMOND, P4, THETA, nonadjacent_pairs, random_connected_graph
 
 
 def test_is_important_examples():
@@ -18,8 +17,8 @@ def test_is_important_examples():
 
 
 def test_is_important_requires_minimal():
-    with pytest.raises(NotMinimal):
-        sp.is_important(P4.graph, P4.terminals, (1, 2))
+    assert not sp.is_important(P4.graph, P4.terminals, (1, 2))  # {a,b} separates
+    assert not sp.is_important(DIAMOND.graph, DIAMOND.terminals, (1,))  # {a} does not
 
 
 def test_enumerate_important_examples():
@@ -33,7 +32,7 @@ def test_enumerate_important_errors():
         sp.enumerate_important(parse_graph("s t"), Terminals(0, 1), 1)
     with pytest.raises(AlreadySeparated):
         sp.enumerate_important(parse_graph("s a\nt b"), Terminals(0, 2), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SepenumError, match="k must be at least 1, got 0"):
         sp.enumerate_important(P4.graph, P4.terminals, 0)
 
 

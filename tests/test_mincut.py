@@ -5,12 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepenum as sp
-from sepenum.errors import AlreadySeparated, SourceSinkAdjacent, TerminalsAdjacent
+from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, parse_graph
 from sepenum.mincut import FlowNetwork, flow_call_count
-from sepenum.oracle import DIAMOND, P4, THETA, random_graph
 
-from conftest import band, nonadjacent_pairs, random_connected_graph
+from conftest import (
+    DIAMOND,
+    P4,
+    THETA,
+    band,
+    nonadjacent_pairs,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def test_kappa_examples():
@@ -53,12 +60,22 @@ def test_min_separator_between_examples():
 
 
 def test_min_separator_between_errors():
-    with pytest.raises(SourceSinkAdjacent):
+    with pytest.raises(TerminalsAdjacent, match="'a' is in the closed neighbourhood of s"):
         sp.min_separator_between(P4.graph, (0,), 1, "closest")
     with pytest.raises(AlreadySeparated):
         sp.min_separator_between(parse_graph("s a\nt b"), (0,), 2, "closest")
-    with pytest.raises(ValueError):
+    with pytest.raises(SepenumError, match="side must be 'closest' or 'furthest'"):
         sp.min_separator_between(P4.graph, (0,), 3, "nearest")
+
+
+def test_flow_network_rejects_a_sink_in_the_sources_closed_neighbourhood():
+    g = THETA.graph  # s-a-t and s-b-c-t: s=0, a=1, t=2, b=3, c=4
+    with pytest.raises(TerminalsAdjacent, match="'t' is in the closed neighbourhood of s,c"):
+        FlowNetwork(g, (0, 4), 2)
+    with pytest.raises(TerminalsAdjacent, match="'t' is in the closed neighbourhood of t,b"):
+        FlowNetwork(g, (3, 2), 2)
+    # a removed source is no source: without c, {s} and t are apart
+    assert FlowNetwork(g, (0, 4), 2, removed=(4,)).max_flow() == 1
 
 
 def test_both_cut_sides_are_minimal_and_minimum():

@@ -1,10 +1,9 @@
 import pytest
 
 import sepenum as sp
-from sepenum.errors import TooLarge
-from sepenum.oracle import DIAMOND, FIXTURES, P4, THETA
+from sepenum.errors import SepenumError
 
-from conftest import is_connected
+from conftest import DIAMOND, FIXTURES, P4, THETA, is_connected, random_graph
 
 
 def test_fixture_shapes():
@@ -39,34 +38,34 @@ def test_brute_chordless_paths_fixtures():
 
 
 def test_size_guards_hard_fail():
-    big = sp.random_graph(17, 0.2, 1)
+    big = random_graph(17, 0.2, 1)
     term = sp.Terminals(0, 16)
-    with pytest.raises(TooLarge):
+    with pytest.raises(SepenumError, match="n=17 exceeds oracle guard 16"):
         sp.brute_minimal_separators(big, term)
-    with pytest.raises(TooLarge):
+    with pytest.raises(SepenumError, match="n=17 exceeds oracle guard 16"):
         sp.brute_minimum_separators(big, term)
-    mid = sp.random_graph(15, 0.2, 1)
-    with pytest.raises(TooLarge):
+    mid = random_graph(15, 0.2, 1)
+    with pytest.raises(SepenumError, match="n=15 exceeds oracle guard 14"):
         sp.brute_important(mid, sp.Terminals(0, 14), 3)
-    with pytest.raises(TooLarge):
+    with pytest.raises(SepenumError, match="n=15 exceeds oracle guard 14"):
         sp.brute_chordless_paths_through(mid, sp.Terminals(0, 14), 1)
     # the guard of the path oracle is adjustable
     assert sp.brute_chordless_paths_through(mid, sp.Terminals(0, 14), 1, max_n=15) is not None
 
 
 def test_random_graph_determinism():
-    a = sp.random_graph(8, 0.35, 42)
-    b = sp.random_graph(8, 0.35, 42)
+    a = random_graph(8, 0.35, 42)
+    b = random_graph(8, 0.35, 42)
     assert a == b
-    assert sp.random_graph(4, 1.0, 7).edge_count() == 6
-    assert sp.random_graph(3, 0.0, 7).edge_count() == 0
+    assert random_graph(4, 1.0, 7).edge_count() == 6
+    assert random_graph(3, 0.0, 7).edge_count() == 0
     with pytest.raises(ValueError):
-        sp.random_graph(3, 1.5, 7)
+        random_graph(3, 1.5, 7)
 
 
 def test_random_graph_seed42_frozen():
     # pin the exact edge set so cross-run reproducibility breaks loudly
-    g = sp.random_graph(8, 0.35, 42)
+    g = random_graph(8, 0.35, 42)
     assert sorted(g.edges()) == [
         (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (1, 7),
         (2, 3), (2, 6), (3, 5), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),

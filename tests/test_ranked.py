@@ -6,9 +6,8 @@ import sepenum as sp
 from sepenum.errors import AlreadySeparated, TerminalsAdjacent
 from sepenum.graph import Terminals, parse_graph
 from sepenum.mincut import FlowNetwork
-from sepenum.oracle import DIAMOND, P4, THETA
 
-from conftest import band, nonadjacent_pairs, random_connected_graph
+from conftest import DIAMOND, P4, THETA, band, nonadjacent_pairs, random_connected_graph
 
 
 def test_ranked_traces():
