@@ -9,6 +9,17 @@ out(v) when v is free and out(pred[v]) when it is used.  The flow value is
 the maximum number of internally vertex-disjoint paths, and the two
 canonical minimum cuts fall out of residual reachability.
 
+After a maximum flow, the minimum cuts are exactly the state sets C that
+contain the sources' out-states, avoid in(sink) and are closed under
+those residual arcs (Picard & Queyranne 1980); the cut is the vertices v
+with in(v) in C and out(v) not.  `closest_cut_with(include, excluded)`
+answers one constrained query on that family with one closure over the
+same arcs, without a further flow: it seeds in(i) for every i in
+`include`, adds the arc in(e) -> out(e) for every e in `excluded` (e is
+not cut), and fails when the closure reaches in(sink) or an out(i).
+Each constraint is an implication between states, so the feasible sets
+still form a lattice and the least one is the closest feasible cut.
+
 A module-level counter tracks max-flow invocations so that delay
 bounds can be checked externally.
 """
@@ -139,6 +150,42 @@ class FlowNetwork:
         assert len(cut) == self.value
         return tuple(cut)
 
+    def closest_cut_with(self, include=(), excluded=()) -> Separator | None:
+        """Closest minimum cut that contains `include` and avoids
+        `excluded`, or None when no minimum cut does.
+
+        Run after max_flow.  One closure from the sources' out-states and
+        every in(i), i in `include`, over the residual arcs of `_search`
+        plus in(e) -> out(e) for every e in `excluded`; it is infeasible
+        exactly when it reaches in(sink) or out(i) for some i in `include`.
+        """
+        assert self._ran
+        adj, blocked, pred = self.adj, self.blocked, self.pred
+        uncut = set(excluded)
+        seen = {2 * s + 1 for s in self.sources}
+        seen.update(2 * i for i in include)
+        queue = list(seen)
+        for x in queue:  # grows while it is read, as in _search
+            v = x >> 1
+            if x & 1:
+                step = [2 * w for w in adj[v] if not blocked[w]]
+                if pred[v] >= 0:
+                    step.append(x - 1)
+            else:
+                u = pred[v]
+                step = [x + 1 if u < 0 else 2 * u + 1]
+                if v in uncut:
+                    step.append(x + 1)
+            for y in step:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if 2 * self.sink in seen or any(2 * i + 1 in seen for i in include):
+            return None
+        cut = sorted(x >> 1 for x in queue if not x & 1 and x + 1 not in seen)
+        assert len(cut) == self.value
+        return tuple(cut)
+
     def furthest_cut(self) -> Separator:
         """Minimum cut with inclusion-maximal source side.
 
@@ -239,16 +286,12 @@ def min_separator_between(G: Graph, A, t: int, side: str) -> Separator:
 def min_separator_containing(G: Graph, term: Terminals, I) -> Separator | None:
     """A minimum s,t-separator containing I, or None if there is none.
 
-    There is one exactly when removing I lowers the connectivity by |I|;
-    the witness is I plus the closest-to-s minimum cut of the remainder.
+    One maximum flow, then the closest minimum cut that contains I (see
+    `FlowNetwork.closest_cut_with`).
     """
     members = canonical(I)
     _check_avoids_terminals(G, term, members)
-    k_full = _min_cut(G, (term.s,), term.t).value
-    net = _min_cut(G, (term.s,), term.t, removed=members)
-    if net.value != k_full - len(members):
-        return None
-    return canonical(members + net.closest_cut())
+    return _min_cut(G, (term.s,), term.t).closest_cut_with(members)
 
 
 def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
@@ -260,6 +303,7 @@ def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
     """
     members = canonical(U)
     _check_avoids_terminals(G, term, members)
+    _require_apart(G, (term.s,), term.t)
     H = saturate(G, members)
     if H.has_edge(term.s, term.t):
         return None

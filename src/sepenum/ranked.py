@@ -20,9 +20,18 @@ unchanged, so a queued cell costs one n-slot tuple plus the grown sets.
 The ranked stream is sound (every emission separates the original graph),
 duplicate-free, non-decreasing in size, and emits every *minimal*
 separator; supersets of an emitted separator are pruned by construction,
-so the stream is not the full separator family.  The minimum-only variant
-gates each push on the include-set still being extendable to overall
-minimum size, which makes it emit exactly the minimum separators.
+so the stream is not the full separator family.
+
+The minimum-only stream splits its cells the same way but answers each
+one on the root's residual graph: after one maximum flow, the minimum
+separators that contain the include-set and avoid the excluded vertices
+are the closed sets of that graph under the cell's constraints, and
+`FlowNetwork.closest_cut_with` returns the closest of them or None.  A
+cell is then just (S, include-set, excluded set): no working graph, no
+paths and no further flow call, so each emission costs O(|S|·(n+m)).
+In every cell both streams pick the minimum separator with the
+inclusion-minimal s-side, so minimum-all emits the size-κ prefix of the
+ranked stream in the same order.
 """
 
 from heapq import heappop, heappush
@@ -40,9 +49,18 @@ from .graph import (
 from .mincut import FlowNetwork, _min_cut, _terminal_flow
 
 
-def _lawler(G: Graph, term: Terminals, root: FlowNetwork,
-            size_gate: int | None) -> Iterator[Separator]:
-    """Common queue loop; size_gate is the overall minimum (None = ranked)."""
+def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
+    """Lawler's children of the cell that emitted S: for each v of S beyond
+    the include-set, v is excluded and the members before it included."""
+    prefix: list[int] = []
+    for v in S:
+        if v not in include:
+            yield v, include | set(prefix)
+            prefix.append(v)
+
+
+def _lawler(G: Graph, term: Terminals, root: FlowNetwork) -> Iterator[Separator]:
+    """The ranked queue loop: cells are saturated working graphs."""
     tick = _counter()
     first = root.closest_cut()
     queue = [((len(first), first), next(tick), G, frozenset(), frozenset(),
@@ -50,12 +68,7 @@ def _lawler(G: Graph, term: Terminals, root: FlowNetwork,
     while queue:
         (_, S), _, H, include, excluded, paths = heappop(queue)
         yield S
-        prefix: list[int] = []
-        for v in S:
-            if v in include:
-                continue
-            include_i = include | set(prefix)
-            prefix.append(v)
+        for v, include_i in _split(S, include):
             H_v = saturate(H, (v,))
             if H_v.has_edge(term.s, term.t):
                 continue
@@ -63,8 +76,6 @@ def _lawler(G: Graph, term: Terminals, root: FlowNetwork,
             warm = [p for p in paths if include_i.isdisjoint(p)]
             net = _min_cut(H_v, (term.s,), term.t, removed=include_i, flow=warm)
             if net.value == 0:
-                continue
-            if size_gate is not None and net.value != size_gate - len(include_i):
                 continue
             T = canonical(net.closest_cut() + tuple(include_i))
             excluded_v = excluded | {v}
@@ -74,12 +85,30 @@ def _lawler(G: Graph, term: Terminals, root: FlowNetwork,
                              net.disjoint_paths()))
 
 
+def _minimum_cells(G: Graph, term: Terminals, root: FlowNetwork) -> Iterator[Separator]:
+    """The Lawler split of `_lawler`, each cell a closure on root's residual
+    graph.  All separators have size κ and are distinct, so the heap orders
+    them by members alone."""
+    queue = [(root.closest_cut(), frozenset(), frozenset())]
+    while queue:
+        S, include, excluded = heappop(queue)
+        yield S
+        for v, include_i in _split(S, include):
+            excluded_v = excluded | {v}
+            T = root.closest_cut_with(include_i, excluded_v)
+            if T is None:
+                continue
+            assert is_separator(G, term, T)
+            assert include_i <= set(T) and not excluded_v & set(T)
+            heappush(queue, (T, include_i, excluded_v))
+
+
 def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield s,t-separators in non-decreasing cardinality, no duplicates."""
-    return _lawler(G, term, _terminal_flow(G, term), None)
+    return _lawler(G, term, _terminal_flow(G, term))
 
 
 def iter_minimum_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
-    """Yield exactly the minimum-cardinality s,t-separators, each once."""
-    root = _terminal_flow(G, term)
-    return _lawler(G, term, root, root.value)
+    """Yield exactly the minimum-cardinality s,t-separators, each once, in
+    the order of the ranked stream; one flow call in all."""
+    return _minimum_cells(G, term, _terminal_flow(G, term))

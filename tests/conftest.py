@@ -78,6 +78,13 @@ def band(width: int, length: int) -> tuple[Graph, Terminals]:
     return Graph(2 + width * length, edges), Terminals(0, 1)
 
 
+def grid(side: int) -> tuple[Graph, Terminals]:
+    """The side-by-side square grid, terminals at opposite corners."""
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return Graph(side * side, edges), Terminals(0, side * side - 1)
+
+
 def nonadjacent_pairs(G: Graph):
     return [
         Terminals(s, t)

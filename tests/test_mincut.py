@@ -132,6 +132,20 @@ def test_min_separator_containing_examples():
     assert sp.min_separator_containing(P4.graph, P4.terminals, (1, 2)) is None
     assert sp.min_separator_containing(P4.graph, P4.terminals, ()) == (1,)
     assert sp.min_separator_containing(THETA.graph, THETA.terminals, ()) == (1, 3)
+    apart = parse_graph("s a\nt b")
+    assert sp.min_separator_containing(apart, Terminals(0, 2), ()) == ()
+    assert sp.min_separator_containing(apart, Terminals(0, 2), (1,)) is None
+
+
+@pytest.mark.parametrize("fixture", [THETA, DIAMOND], ids=lambda f: f.name)
+def test_min_separator_containing_runs_one_flow(fixture):
+    g, term = fixture.graph, fixture.terminals
+    inner = [v for v in range(g.n) if v not in term]
+    for r in (0, 1, 2):
+        for I in itertools.combinations(inner, r):
+            before = flow_call_count()
+            sp.min_separator_containing(g, term, I)
+            assert flow_call_count() == before + 1
 
 
 def test_vertex_include_characterization():
@@ -154,6 +168,8 @@ def test_min_separator_excluding_examples():
     assert sp.min_separator_excluding(P4.graph, P4.terminals, (1,)) == (2,)
     assert sp.min_separator_excluding(DIAMOND.graph, DIAMOND.terminals, (1,)) is None
     assert sp.min_separator_excluding(P4.graph, P4.terminals, ()) == (1,)
+    with pytest.raises(TerminalsAdjacent):
+        sp.min_separator_excluding(parse_graph("s t\ns a\na t"), Terminals(0, 1), ())
 
 
 def test_min_separator_excluding_against_brute():
@@ -286,6 +302,39 @@ def test_flow_network_from_part_of_a_max_flow(data):
     assert warm.value == cold.max_flow()
     assert warm.closest_cut() == cold.closest_cut()
     assert warm.furthest_cut() == cold.furthest_cut()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closest_cut_with_is_the_closest_constrained_minimum_separator(data):
+    # Against the oracle: None exactly when no minimum separator contains
+    # `include` and avoids `excluded`, else one that does and whose s-side
+    # lies inside the s-side of every other that does.
+    n = data.draw(st.integers(3, 11), label="n")
+    p = data.draw(st.sampled_from((0.25, 0.4, 0.6)), label="p")
+    g = random_graph(n, p, data.draw(st.integers(0, 10_000), label="seed"))
+    pairs = nonadjacent_pairs(g)
+    if not pairs:
+        return
+    term = data.draw(st.sampled_from(pairs), label="term")
+    net = FlowNetwork(g, (term.s,), term.t)
+    if net.max_flow() == 0:
+        return
+    assert net.closest_cut_with() == net.closest_cut()
+    inner = [v for v in range(n) if v not in term]
+    include = data.draw(st.sets(st.sampled_from(inner), max_size=3), label="include")
+    rest = [v for v in inner if v not in include]
+    excluded = data.draw(st.sets(st.sampled_from(rest), max_size=4)
+                         if rest else st.just(set()), label="excluded")
+    feasible = [X for X in sp.brute_minimum_separators(g, term)
+                if include <= set(X) and excluded.isdisjoint(X)]
+    got = net.closest_cut_with(include, excluded)
+    if not feasible:
+        assert got is None
+        return
+    assert got in feasible
+    side = sp.component_of(g, got, term.s)
+    assert all(side <= sp.component_of(g, X, term.s) for X in feasible)
 
 
 def test_a_maximum_starting_flow_needs_no_augmenting_search():

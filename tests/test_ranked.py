@@ -1,13 +1,24 @@
-from itertools import islice
+from itertools import islice, takewhile
 
 import pytest
 
 import sepenum as sp
+import sepenum.graph
+import sepenum.mincut
+import sepenum.ranked
 from sepenum.errors import AlreadySeparated, TerminalsAdjacent
-from sepenum.graph import Terminals, parse_graph
-from sepenum.mincut import FlowNetwork
+from sepenum.graph import Graph, Terminals, parse_graph, saturate
+from sepenum.mincut import FlowNetwork, flow_call_count
 
-from conftest import DIAMOND, P4, THETA, band, nonadjacent_pairs, random_connected_graph
+from conftest import (
+    DIAMOND,
+    P4,
+    THETA,
+    band,
+    grid,
+    nonadjacent_pairs,
+    random_connected_graph,
+)
 
 
 def test_ranked_traces():
@@ -57,10 +68,48 @@ def test_minimum_matches_brute_on_random_graphs():
             assert all(len(X) == k for X in got)
 
 
+def test_minimum_stream_is_the_ranked_streams_minimum_prefix():
+    # No oracle past n = 16: the minimum-only stream must be the size-κ
+    # prefix of the ranked stream, in the same order.
+    cycle = Graph(3000, [(v, (v + 1) % 3000) for v in range(3000)])
+    cases = [(*band(3, 30), None), (*band(4, 12), None), (*grid(15), None),
+             (cycle, Terminals(0, 1500), 200)]
+    for n, p, seed, sinks in ((100, 0.035, 4402, range(1, 100)),
+                              (200, 0.02, 4400, range(1, 200)),
+                              (300, 0.015, 4402, (299,))):
+        g = random_connected_graph(n, p, seed)
+        cases += [(g, Terminals(0, t), None) for t in sinks if t not in g.adj[0]]
+    for g, term, limit in cases:
+        got = list(islice(sp.iter_minimum_separators(g, term), limit))
+        k = len(got[0])
+        ranked = takewhile(lambda S: len(S) == k, sp.iter_ranked_separators(g, term))
+        assert got == list(islice(ranked, limit))
+
+
+def test_minimum_stream_runs_one_flow_and_no_rewrites(monkeypatch):
+    rewrites = []
+    def spy(G, U):
+        rewrites.append(U)
+        return saturate(G, U)
+    for module in (sepenum.graph, sepenum.mincut, sepenum.ranked):
+        monkeypatch.setattr(module, "saturate", spy)
+    cases = [band(3, 30)]
+    for seed in range(10):
+        g = random_connected_graph(6 + seed % 5, (0.3, 0.45)[seed % 2], 4300 + seed)
+        cases += [(g, term) for term in nonadjacent_pairs(g)]
+    emitted = []
+    for g, term in cases:
+        before = flow_call_count()
+        emitted.append(len(list(sp.iter_minimum_separators(g, term))))
+        assert flow_call_count() == before + 1
+    assert rewrites == [] and emitted[0] == 260
+
+
 def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
     # The children of an emitted S are built while the stream computes its
     # next item.  Child i removes include_i and starts from the parent's
     # paths that avoid it: each path crosses S - include in one vertex.
+    # The minimum-only stream builds no child flows at all.
     starts = []
     build = FlowNetwork.__init__
 
@@ -70,22 +119,21 @@ def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
         build(self, G, sources, sink, removed, flow)
 
     monkeypatch.setattr(FlowNetwork, "__init__", spy)
-    cases = [(*band(3, 30), 100)]
+    cases = [(*band(3, 30), 200)]
     for seed in range(12):
         g = random_connected_graph(6 + seed % 4, (0.3, 0.45)[seed % 2], 4100 + seed)
         cases += [(g, term, None) for term in nonadjacent_pairs(g)]
     children = 0
     for g, term, limit in cases:
-        for enumerate_ in (sp.iter_ranked_separators, sp.iter_minimum_separators):
+        starts.clear()
+        stream = islice(sp.iter_ranked_separators(g, term), limit)
+        assert starts == [(0, 0)]  # the terminal flow starts from zero
+        starts.clear()
+        parent = next(stream)
+        while parent is not None:
+            S = next(stream, None)  # builds the children of parent
+            assert all(warm == len(parent) - include for include, warm in starts)
+            children += len(starts)
             starts.clear()
-            stream = islice(enumerate_(g, term), limit)
-            assert starts == [(0, 0)]  # the terminal flow starts from zero
-            starts.clear()
-            parent = next(stream)
-            while parent is not None:
-                S = next(stream, None)  # builds the children of parent
-                assert all(warm == len(parent) - include for include, warm in starts)
-                children += len(starts)
-                starts.clear()
-                parent = S
+            parent = S
     assert children > 500
