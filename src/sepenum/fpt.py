@@ -9,7 +9,9 @@ important separators of each rewired graph are the next candidates.
 Every candidate pushed this way has a strictly larger s-side component
 than the entry being processed, so a global seen-set is enough to make
 each separator appear exactly once, and the queue drains in bounded
-delay.
+delay.  In a rewired graph only the branching's candidates that are not
+in the seen-set yet get the importance test: a seen one is skipped
+either way.
 """
 
 from heapq import heappop, heappush
@@ -25,7 +27,7 @@ from .graph import (
     canonical,
     is_minimal_separator,
 )
-from .important import enumerate_important
+from .important import _important_candidates, enumerate_important, is_important
 
 
 def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
@@ -59,8 +61,8 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
                 Hv = absorb(H, term.s, v)
                 if Hv.has_edge(term.s, term.t):
                     continue
-                for T in enumerate_important(Hv, term, k):
-                    if T in seen:
+                for T in _important_candidates(Hv, term, k):
+                    if T in seen or not is_important(Hv, term, T):
                         continue
                     seen.add(T)
                     key = pop_key(G, term.s, T)

@@ -77,7 +77,7 @@ class FlowNetwork:
         self.value = 0
         self._ran = False
         for path in flow:  # link every inner vertex to its path neighbours
-            assert path[0] in self.sources and path[-1] == sink
+            assert path[0] in source_set and path[-1] == sink
             for u, w, x in zip(path, path[1:-1], path[2:]):
                 assert not self.blocked[w] and pred[w] < 0 and w in self.adj[u]
                 pred[w], succ[w] = u, x

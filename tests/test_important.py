@@ -3,10 +3,21 @@ import tracemalloc
 import pytest
 
 import sepenum as sp
+from sepenum import fpt, mincut
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
-from sepenum.graph import Graph, Terminals, parse_graph
+from sepenum.graph import Graph, Terminals, _component, canonical, parse_graph
+from sepenum.important import _important_candidates
+from sepenum.mincut import _min_cut
 
-from conftest import DIAMOND, P4, THETA, nonadjacent_pairs, random_connected_graph
+from conftest import (
+    DIAMOND,
+    P4,
+    THETA,
+    band,
+    nonadjacent_pairs,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def test_is_important_examples():
@@ -80,3 +91,93 @@ def test_enumerate_important_on_a_long_cycle_stays_linear_in_memory():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert got == [(1, n - 1)]
+
+
+def _two_way_candidates(G: Graph, sources: frozenset, sink: int, removed: frozenset,
+                        budget: int, committed: frozenset, out: set[frozenset]) -> None:
+    """The plain two-way branching, one cold flow per node, as a reference.
+
+    Either a vertex of the cut joins the separator (budget shrinks) or it
+    is absorbed into the source side (the cut must then move).  Leaves
+    where the source side is already disconnected from the sink yield the
+    committed vertices as a candidate.
+    """
+    if not G.adj[sink].isdisjoint(sources - removed):
+        return
+    net = _min_cut(G, sources, sink, removed)
+    if net.value == 0:
+        out.add(committed)
+        return
+    if net.value > budget:
+        return
+    cut = net.furthest_cut()
+    v = cut[0]
+    _two_way_candidates(G, sources, sink, removed | {v}, budget - 1, committed | {v}, out)
+    reach = _component(G.adj, sources - removed, removed.union(cut))
+    _two_way_candidates(G, frozenset(reach | {v}), sink, removed, budget, committed, out)
+
+
+def test_branching_gives_the_two_way_recursions_candidates():
+    cases = 0
+    for seed in range(60):
+        n = 4 + seed % 11
+        g = random_graph(n, (0.15, 0.25, 0.4, 0.6)[seed % 4], 1300 + seed)
+        for term in nonadjacent_pairs(g):
+            for k in range(1, 5):
+                raw: set[frozenset] = set()
+                _two_way_candidates(g, frozenset((term.t,)), term.s, frozenset(), k,
+                                    frozenset(), raw)
+                assert _important_candidates(g, term, k) == {canonical(X) for X in raw}
+                cases += 1
+    assert cases > 5000
+
+
+def test_every_absorb_branch_starts_from_its_parents_paths(monkeypatch):
+    starts = []
+    init = mincut.FlowNetwork.__init__
+
+    def recording_init(self, G, sources, sink, removed=(), flow=()):
+        starts.append(list(flow))
+        init(self, G, sources, sink, removed, flow)
+
+    monkeypatch.setattr(mincut.FlowNetwork, "__init__", recording_init)
+    children = 0
+    cases = [band(3, 8), band(4, 6)]
+    for seed in range(20):
+        g = random_connected_graph(8 + seed % 5, 0.35, 1400 + seed)
+        cases += [(g, term) for term in nonadjacent_pairs(g)]
+    for g, term in cases:
+        for k in range(1, 5):
+            starts.clear()
+            _important_candidates(g, term, k)
+            assert starts[0] == []  # the root starts cold
+            assert all(starts[1:])
+            children += len(starts) - 1
+    assert children > 300
+
+
+def test_list_minimal_tests_importance_only_for_unseen_candidates(monkeypatch):
+    g, term = band(3, 30)
+    seen = set(sp.enumerate_important(g, term, 3))  # the queue's seeds
+    tested, offered = [], []
+    is_important, candidates = fpt.is_important, fpt._important_candidates
+
+    def spy(H, term_, T):
+        assert T not in seen
+        tested.append(T)
+        if not is_important(H, term_, T):
+            return False
+        seen.add(T)
+        return True
+
+    def counted_candidates(H, term_, k):
+        found = candidates(H, term_, k)
+        offered.extend(found)
+        return found
+
+    monkeypatch.setattr(fpt, "is_important", spy)
+    monkeypatch.setattr(fpt, "_important_candidates", counted_candidates)
+    emitted = list(fpt.iter_small_minimal(g, term, 3))
+    assert len(emitted) == 260 and set(emitted) == seen
+    # most candidates of the rewired graphs were seen before and not tested
+    assert 0 < len(tested) < len(offered) / 2

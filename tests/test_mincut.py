@@ -304,6 +304,32 @@ def test_flow_network_from_part_of_a_max_flow(data):
     assert warm.furthest_cut() == cold.furthest_cut()
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_removing_a_furthest_cut_vertex_leaves_the_rest_of_the_cut(data):
+    # The lemma behind the flow-free "join" branch of important._candidates:
+    # for v in the furthest minimum cut C, the network with v removed too has
+    # value one less and furthest cut exactly C minus v.
+    n = data.draw(st.integers(2, 12), label="n")
+    p = data.draw(st.sampled_from((0.15, 0.3, 0.5)), label="p")
+    g = random_graph(n, p, data.draw(st.integers(0, 10_000), label="seed"))
+    sink = data.draw(st.integers(0, n - 1), label="sink")
+    far = [v for v in range(n) if v != sink and v not in g.adj[sink]]
+    if not far:
+        return
+    sources = data.draw(st.sets(st.sampled_from(far), min_size=1), label="sources")
+    rest = [v for v in range(n) if v != sink and v not in sources]
+    removed = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()),
+                        label="removed")
+    net = FlowNetwork(g, sources, sink, removed)
+    value = net.max_flow()
+    cut = net.furthest_cut()
+    for v in cut:
+        smaller = FlowNetwork(g, sources, sink, removed | {v})
+        assert smaller.max_flow() == value - 1
+        assert smaller.furthest_cut() == tuple(w for w in cut if w != v)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_closest_cut_with_is_the_closest_constrained_minimum_separator(data):
