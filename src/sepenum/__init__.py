@@ -17,7 +17,6 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
-    absorb,
     add_star,
     canonical,
     chordless_path_to_separator,

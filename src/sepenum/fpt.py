@@ -1,17 +1,12 @@
 """Streaming enumeration of all minimal s,t-separators of size at most k.
 
-A priority queue seeded with the important separators pops entries in
-ascending (|s-side component|, members) order.  After emitting S, the
-graph is rewired so that s neighbors all of S (which keeps exactly the
-minimal separators confined to S and the t side), and each member of S is
-absorbed in turn (which discards the separators containing it); the
-important separators of each rewired graph are the next candidates.
-Every candidate pushed this way has a strictly larger s-side component
-than the entry being processed, so a global seen-set is enough to make
-each separator appear exactly once, and the queue drains in bounded
-delay.  In a rewired graph only the branching's candidates that are not
-in the seen-set yet get the importance test: a seen one is skipped
-either way.
+A priority queue pops separators in ascending (|s-side component|,
+members) order.  It takes each unseen raw candidate of the important
+branching on a graph H that is a minimal separator of H: for the seeds H
+is G, and after S is emitted H is G with s joined to S and to N(v), for
+each v of S not next to t.  Such a separator of G avoids S's s-side and
+v, so its key is strictly larger than S's; the important ones make the
+stream complete, and a seen-set makes each separator appear once.
 """
 
 from heapq import heappop, heappush
@@ -22,12 +17,12 @@ from .graph import (
     Separator,
     Terminals,
     _component,
-    absorb,
+    _require_separable,
     add_star,
     canonical,
     is_minimal_separator,
 )
-from .important import _important_candidates, enumerate_important, is_important
+from .important import _important_candidates
 
 
 def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
@@ -43,31 +38,30 @@ def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
 
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     """Yield every minimal s,t-separator of size at most k exactly once."""
-    # eager, so a bad k or bad terminals raise here and not at the first pull
-    seeds = enumerate_important(G, term, k)
+    _require_separable(G, term)
+    # eager, so a bad k raises here and not at the first pull
+    seeds = _important_candidates(G, term, k)
 
     def generate():
         queue: list[tuple[int, Separator]] = []
         seen: set[Separator] = set()
-        for S in seeds:
-            heappush(queue, pop_key(G, term.s, S))
-            seen.add(S)
-        while queue:
-            comp_size, S = heappop(queue)
-            assert len(S) <= k and is_minimal_separator(G, term, S)
-            yield S
-            H = add_star(G, term.s, S)
-            for v in S:
-                Hv = absorb(H, term.s, v)
-                if Hv.has_edge(term.s, term.t):
-                    continue
-                for T in _important_candidates(Hv, term, k):
-                    if T in seen or not is_important(Hv, term, T):
+        comp_size, branched = 0, [(G, seeds)]
+        while True:
+            for H, candidates in branched:
+                for T in candidates:
+                    if T in seen or not is_minimal_separator(H, term, T):
                         continue
                     seen.add(T)
                     key = pop_key(G, term.s, T)
                     assert key[0] > comp_size
                     heappush(queue, key)
+            if not queue:
+                return
+            comp_size, S = heappop(queue)
+            assert len(S) <= k and is_minimal_separator(G, term, S)
+            yield S
+            rewired = (add_star(G, term.s, (set(S) | G.adj[v]) - {term.s})
+                       for v in S if term.t not in G.adj[v])
+            branched = ((H, _important_candidates(H, term, k)) for H in rewired)
 
     return generate()
-

@@ -175,7 +175,14 @@ def _names(G: Graph, vertices: Iterable[int]) -> str:
     return ",".join(G.labels[v] for v in sorted(vertices))
 
 
+def _require_ids(G: Graph, vertices: Iterable[int]) -> None:
+    for v in vertices:  # as an index, an id outside 0..n-1 fails or wraps
+        if not 0 <= v < G.n:
+            raise SepenumError(f"vertex id {v} out of range for n={G.n}")
+
+
 def _check_avoids_terminals(G: Graph, term: Terminals, members: Separator) -> None:
+    _require_ids(G, term)
     if term.s in members or term.t in members:
         raise SepenumError(f"set {_names(G, members)} contains a terminal of "
                            f"{G.labels[term.s]},{G.labels[term.t]}")
@@ -264,11 +271,9 @@ def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:
 
 
 def absorb(G: Graph, s: int, v: int) -> Graph:
-    """Join s to every neighbor of v (v must already neighbor s).
-
-    v itself is retained.  Afterwards no minimal separator between s and
-    any other vertex can contain v.
-    """
+    """Join s to every neighbor of v, which must neighbor s; then no minimal
+    separator between s and another vertex contains v.  No enumeration
+    calls it; it stays while bench/tracing.py names it."""
     if v not in G.adj[s]:
         raise SepenumError(f"vertex {G.labels[v]!r} is not adjacent to {G.labels[s]!r}")
     return G.with_edges((s, y) for y in G.adj[v] if y != s)
@@ -280,6 +285,7 @@ def absorb(G: Graph, s: int, v: int) -> Graph:
 def _require_apart(G: Graph, sources: AbstractSet[int], sink: int) -> None:
     """Raise TerminalsAdjacent when sink lies in the closed neighbourhood
     of the sources: then no vertex set avoiding both separates them."""
+    _require_ids(G, (*sources, sink))
     if sink in sources or not G.adj[sink].isdisjoint(sources):
         raise TerminalsAdjacent(f"{G.labels[sink]!r} is in the closed "
                                 f"neighbourhood of {_names(G, sources)}")
@@ -318,6 +324,7 @@ def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
 
 
 def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
+    _require_ids(G, term)
     if len(path) < 2 or path[0] != term.s or path[-1] != term.t:
         raise SepenumError("path must start at s and end at t")
     if len(set(path)) != len(path):

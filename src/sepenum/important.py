@@ -82,9 +82,11 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
 
 
 def _important_candidates(G: Graph, term: Terminals, k: int) -> set[Separator]:
-    """The branching's raw candidates, as canonical separators: a superset
-    of the important s,t-separators of size at most k, of at most 4^k
-    sets.  The terminals must be neither adjacent nor equal."""
+    """The branching's raw candidates as canonical separators: at most 4^k
+    sets, not all of them minimal, that include every important separator
+    of size at most k.  The terminals must be neither adjacent nor equal."""
+    if k < 1:
+        raise SepenumError(f"k must be at least 1, got {k}")
     raw: set[frozenset] = set()
     _candidates(G, {term.t}, term.s, frozenset(), k, frozenset(), raw)
     return {canonical(members) for members in raw}
@@ -93,13 +95,10 @@ def _important_candidates(G: Graph, term: Terminals, k: int) -> set[Separator]:
 def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     """All important s,t-separators of size at most k, by (size, members).
 
-    The branching runs one flow at the root and one per absorb step, each
-    warm from its parent's paths; it produces a superset of at most 4^k
-    candidates, and the importance test, which checks minimality first,
-    then makes the result exact.
+    The branching (one flow at the root and one per absorb step, each warm
+    from its parent's paths) gives at most 4^k candidates; the importance
+    test, which checks minimality first, keeps the important ones.
     """
-    if k < 1:
-        raise SepenumError(f"k must be at least 1, got {k}")
     _require_separable(G, term)
     found = []
     for cand in _important_candidates(G, term, k):

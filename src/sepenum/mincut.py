@@ -307,7 +307,4 @@ def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
     H = saturate(G, members)
     if H.has_edge(term.s, term.t):
         return None
-    net = _min_cut(H, (term.s,), term.t)
-    if net.value == 0:
-        return None
-    return net.closest_cut()
+    return _min_cut(H, (term.s,), term.t).closest_cut()

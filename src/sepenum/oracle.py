@@ -13,9 +13,12 @@ from .errors import SepenumError
 from .graph import Graph, Separator, Terminals
 
 
-def _guard(G: Graph, limit: int) -> None:
+def _guard(G: Graph, term: Terminals, limit: int) -> None:
     if G.n > limit:
         raise SepenumError(f"n={G.n} exceeds oracle guard {limit}")
+    for v in term:
+        if not 0 <= v < G.n:
+            raise SepenumError(f"vertex id {v} out of range for n={G.n}")
 
 
 def _mask(vertices) -> int:
@@ -55,7 +58,7 @@ def _nbr_mask(masks, comp: int) -> int:
 
 def brute_minimal_separators(G: Graph, term: Terminals) -> set[Separator]:
     """All minimal s,t-separators, by exhaustive subset enumeration."""
-    _guard(G, 16)
+    _guard(G, term, 16)
     masks = tuple(_mask(a) for a in G.adj)
     sbit, tbit = 1 << term.s, 1 << term.t
     free = [v for v in range(G.n) if v != term.s and v != term.t]
@@ -80,7 +83,7 @@ def brute_important(G: Graph, term: Terminals, k: int) -> set[Separator]:
     S is important when every minimal separator with a strictly smaller
     s-side component is strictly larger than S.
     """
-    _guard(G, 14)
+    _guard(G, term, 14)
     minimal = sorted(brute_minimal_separators(G, term))
     masks = tuple(_mask(a) for a in G.adj)
     sbit = 1 << term.s
@@ -105,7 +108,7 @@ def brute_minimum_separators(G: Graph, term: Terminals) -> set[Separator]:
     Works from the raw separation predicate only, ascending by size; every
     member is automatically a minimal separator.
     """
-    _guard(G, 16)
+    _guard(G, term, 16)
     masks = tuple(_mask(a) for a in G.adj)
     sbit, tbit = 1 << term.s, 1 << term.t
     free = [v for v in range(G.n) if v != term.s and v != term.t]
@@ -124,7 +127,7 @@ def brute_chordless_paths_through(
     G: Graph, term: Terminals, v: int, max_n: int = 14
 ) -> list[list[int]]:
     """All chordless s,t-paths through v, in lexicographic DFS order."""
-    _guard(G, max_n)
+    _guard(G, term, max_n)
     masks = tuple(_mask(a) for a in G.adj)
     paths: list[list[int]] = []
     target = term.t

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import sepenum as sp
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
-from sepenum.graph import Graph, Terminals, parse_graph
+from sepenum.graph import Graph, Terminals, absorb, parse_graph
 
 from conftest import (
     DIAMOND,
@@ -166,21 +166,21 @@ def test_add_star_examples():
 
 def test_absorb_examples():
     g = P4.graph
-    assert edge_set(sp.absorb(g, 0, 1)) - edge_set(g) == {("s", "b")}
+    assert edge_set(absorb(g, 0, 1)) - edge_set(g) == {("s", "b")}
     d = DIAMOND.graph
-    assert edge_set(sp.absorb(d, 0, 1)) - edge_set(d) == {("s", "t")}
+    assert edge_set(absorb(d, 0, 1)) - edge_set(d) == {("s", "t")}
     g2 = sp.add_star(g, 0, (2,))
-    assert edge_set(sp.absorb(g2, 0, 2)) - edge_set(g2) == {("s", "t")}
+    assert edge_set(absorb(g2, 0, 2)) - edge_set(g2) == {("s", "t")}
 
 
 def test_absorb_requires_neighbor():
     with pytest.raises(SepenumError, match="vertex 'b' is not adjacent to 's'"):
-        sp.absorb(P4.graph, 0, 2)
+        absorb(P4.graph, 0, 2)
 
 
 def test_absorb_never_removes_edges():
     g = THETA.graph
-    assert edge_set(g) <= edge_set(sp.absorb(g, 0, 1))
+    assert edge_set(g) <= edge_set(absorb(g, 0, 1))
 
 
 def _saturate_by_full_copy(g, U):
@@ -221,7 +221,7 @@ def test_rewrites_equal_a_full_copy_and_share_untouched_neighbourhoods(data):
     assert h == Graph(n, [*g.edges(), *((s, v) for v in S)], g.labels)
     _shares_what_it_leaves(g, h)
     for v in g.adj[s]:
-        h = sp.absorb(g, s, v)
+        h = absorb(g, s, v)
         assert h == Graph(n, [*g.edges(), *((s, y) for y in g.adj[v] if y != s)],
                           g.labels)
         _shares_what_it_leaves(g, h)
@@ -279,6 +279,14 @@ def test_equal_terminals_raise_terminals_adjacent(name):
                  lambda: THETA.terminals._replace(t=0)):
         with pytest.raises(TerminalsAdjacent, match="source and target are the same vertex"):
             query(THETA.graph, make())
+
+
+@pytest.mark.parametrize("name", sorted(_TERMINAL_QUERIES))
+def test_out_of_range_terminals_raise(name):
+    query, n = _TERMINAL_QUERIES[name], THETA.graph.n
+    for s, t, bad in ((0, n, n), (0, -1, -1), (n, 2, n), (-1, 2, -1)):
+        with pytest.raises(SepenumError, match=f"vertex id {bad} out of range for n={n}"):
+            query(THETA.graph, Terminals(s, t))
 
 
 def test_close_separator_errors():

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 import sepenum as sp
-from sepenum import fpt, mincut
+from sepenum import mincut
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, _component, canonical, parse_graph
 from sepenum.important import _important_candidates
@@ -155,29 +155,3 @@ def test_every_absorb_branch_starts_from_its_parents_paths(monkeypatch):
             children += len(starts) - 1
     assert children > 300
 
-
-def test_list_minimal_tests_importance_only_for_unseen_candidates(monkeypatch):
-    g, term = band(3, 30)
-    seen = set(sp.enumerate_important(g, term, 3))  # the queue's seeds
-    tested, offered = [], []
-    is_important, candidates = fpt.is_important, fpt._important_candidates
-
-    def spy(H, term_, T):
-        assert T not in seen
-        tested.append(T)
-        if not is_important(H, term_, T):
-            return False
-        seen.add(T)
-        return True
-
-    def counted_candidates(H, term_, k):
-        found = candidates(H, term_, k)
-        offered.extend(found)
-        return found
-
-    monkeypatch.setattr(fpt, "is_important", spy)
-    monkeypatch.setattr(fpt, "_important_candidates", counted_candidates)
-    emitted = list(fpt.iter_small_minimal(g, term, 3))
-    assert len(emitted) == 260 and set(emitted) == seen
-    # most candidates of the rewired graphs were seen before and not tested
-    assert 0 < len(tested) < len(offered) / 2

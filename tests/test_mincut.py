@@ -168,6 +168,8 @@ def test_min_separator_excluding_examples():
     assert sp.min_separator_excluding(P4.graph, P4.terminals, (1,)) == (2,)
     assert sp.min_separator_excluding(DIAMOND.graph, DIAMOND.terminals, (1,)) is None
     assert sp.min_separator_excluding(P4.graph, P4.terminals, ()) == (1,)
+    separated = parse_graph("s a\nt b")
+    assert sp.min_separator_excluding(separated, Terminals(0, 2), ()) == ()
     with pytest.raises(TerminalsAdjacent):
         sp.min_separator_excluding(parse_graph("s t\ns a\na t"), Terminals(0, 1), ())
 
