@@ -182,7 +182,7 @@ def _require_ids(G: Graph, vertices: Iterable[int]) -> None:
 
 
 def _check_avoids_terminals(G: Graph, term: Terminals, members: Separator) -> None:
-    _require_ids(G, term)
+    _require_ids(G, (*term, *members))
     if term.s in members or term.t in members:
         raise SepenumError(f"set {_names(G, members)} contains a terminal of "
                            f"{G.labels[term.s]},{G.labels[term.t]}")
@@ -206,6 +206,7 @@ def _boundary(adj, comp: AbstractSet[int]) -> set[int]:
 def component_of(G: Graph, removed: Iterable[int], v: int) -> frozenset:
     """Connected component of v in G minus the removed vertices."""
     removed = set(removed)
+    _require_ids(G, (*removed, v))
     if v in removed:
         raise SepenumError(f"vertex {G.labels[v]!r} is removed")
     return frozenset(_component(G.adj, (v,), removed))
@@ -248,6 +249,7 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
     with G.
     """
     members = sorted(set(U))
+    _require_ids(G, members)
     adj = list(G.adj)
     changed = True
     while changed:
@@ -265,6 +267,7 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
 def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:
     """Add all edges from s to the members of S."""
     members = canonical(S)
+    _require_ids(G, (s, *members))
     if s in members:
         raise SepenumError(f"vertex {G.labels[s]!r} cannot be joined to itself")
     return G.with_edges((s, v) for v in members)
@@ -324,7 +327,6 @@ def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
 
 
 def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
-    _require_ids(G, term)
     if len(path) < 2 or path[0] != term.s or path[-1] != term.t:
         raise SepenumError("path must start at s and end at t")
     if len(set(path)) != len(path):
@@ -349,6 +351,7 @@ def chordless_path_to_separator(
     of the path after v into t; it contains v, which neighbours both
     parts, and it is a minimal s,t-separator of G.
     """
+    _require_ids(G, (*term, *path, v))
     _validate_chordless_path(G, term, path)
     if v == term.s or v == term.t:
         raise SepenumError(f"vertex {G.labels[v]!r} is a terminal")

@@ -43,8 +43,7 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
 
 
 def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
-                budget: int, committed: frozenset, out: set[frozenset],
-                flow=()) -> None:
+                budget: int, out: set[frozenset], flow=()) -> None:
     """Two-way branching over the vertices of the furthest minimum cut C.
 
     Either a vertex of C joins the separator (budget shrinks) or it is
@@ -53,8 +52,9 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
     value is one less and the furthest cut is C - {v}, since a cut D of
     G - v gives the cut D + {v} of G with the same source side, and C's
     source side holds every minimum cut's.  So the j-th absorb child has
-    sources reach + {C[j]}, C[:j] removed and committed, budget - j, and
-    the chain of joins ends in the leaf committed + C.  Each absorb child
+    sources reach + {C[j]}, C[:j] removed, budget - j, and the chain of
+    joins ends in the leaf removed + C: the removed vertices are exactly
+    the ones the branch has put into the separator.  Each absorb child
     runs one flow, from `flow`: this node's paths minus those through
     C[:j], each cut to its suffix from its last vertex in the new source
     set.  The root yields the empty set when its sources are already cut
@@ -62,7 +62,7 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
     """
     net = _min_cut(G, sources, sink, removed, flow)
     if net.value == 0:
-        out.add(committed)
+        out.add(removed)
         return
     if net.value > budget:
         return
@@ -77,8 +77,8 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
         if sink not in G.adj[v]:  # reach itself is never next to the sink
             warm = [p[i - (m > j):] for m, i, p in crossings[j:]]
             _candidates(G, reach | {v}, sink, removed.union(cut[:j]),
-                        budget - j, committed.union(cut[:j]), out, warm)
-    out.add(committed.union(cut))
+                        budget - j, out, warm)
+    out.add(removed.union(cut))
 
 
 def _important_candidates(G: Graph, term: Terminals, k: int) -> set[Separator]:
@@ -88,7 +88,7 @@ def _important_candidates(G: Graph, term: Terminals, k: int) -> set[Separator]:
     if k < 1:
         raise SepenumError(f"k must be at least 1, got {k}")
     raw: set[frozenset] = set()
-    _candidates(G, {term.t}, term.s, frozenset(), k, frozenset(), raw)
+    _candidates(G, {term.t}, term.s, frozenset(), k, raw)
     return {canonical(members) for members in raw}
 
 

@@ -2,23 +2,26 @@
 
 Every vertex but the sources and the sink has capacity one, so a flow is
 a family of internally vertex-disjoint paths, kept as one `pred` and one
-`succ` per vertex.  The residual search walks implicit split states
-in(v) = 2v and out(v) = 2v + 1 without building a network: out(v) reaches
-in(w) of every live neighbour w, and in(v) when v is used; in(v) reaches
-out(v) when v is free and out(pred[v]) when it is used.  The flow value is
-the maximum number of internally vertex-disjoint paths, and the two
-canonical minimum cuts fall out of residual reachability.
+`succ` per vertex.  One residual search, `_reach`, walks implicit split
+states in(v) = 2v and out(v) = 2v + 1 without building a network: out(v)
+reaches in(w) of every live neighbour w, and in(v) when v is used; in(v)
+reaches out(v) when v is free and out(pred[v]) when it is used.  It finds
+every augmenting path and answers every cut query below; `_cut` reads a
+cut off what it reached: the vertices v with in(v) reached and out(v) not.
 
 After a maximum flow, the minimum cuts are exactly the state sets C that
 contain the sources' out-states, avoid in(sink) and are closed under
-those residual arcs (Picard & Queyranne 1980); the cut is the vertices v
-with in(v) in C and out(v) not.  `closest_cut_with(include, excluded)`
-answers one constrained query on that family with one closure over the
-same arcs, without a further flow: it seeds in(i) for every i in
+those residual arcs (Picard & Queyranne 1980).  The closest cut is the
+least such set, the final failed search of the flow.  The furthest cut is
+the least one of the reversed flow: swap in- and out-states and read
+`succ` for `pred`, and the search from out(sink) reaches in(v) exactly
+when out(v) reaches in(sink), at the same O(n + m) cost.
+`closest_cut_with(include, excluded)` answers one constrained query with
+one more search and no further flow: it seeds in(i) for every i in
 `include`, adds the arc in(e) -> out(e) for every e in `excluded` (e is
-not cut), and fails when the closure reaches in(sink) or an out(i).
-Each constraint is an implication between states, so the feasible sets
-still form a lattice and the least one is the closest feasible cut.
+not cut), and fails when it reaches in(sink) or an out(i).  Each
+constraint is an implication between states, so the feasible sets still
+form a lattice and the least one is the closest feasible cut.
 
 A module-level counter tracks max-flow invocations so that delay
 bounds can be checked externally.
@@ -73,7 +76,7 @@ class FlowNetwork:
             self.blocked[v] = 1
         pred = self.pred = [-1] * G.n
         succ = self.succ = [-1] * G.n
-        self.parent: dict[int, int] = {}  # of the last search: state -> state
+        self.parent: dict[int, int] = {}  # max_flow's final search: state -> state
         self.value = 0
         self._ran = False
         for path in flow:  # link every inner vertex to its path neighbours
@@ -84,11 +87,17 @@ class FlowNetwork:
             assert sink in self.adj[path[-2]]
             self.value += 1
 
-    def _search(self) -> bool:
-        """One residual BFS from the sources; True if it reached the sink."""
-        adj, blocked, pred = self.adj, self.blocked, self.pred
-        target = 2 * self.sink
-        parent = self.parent = {2 * s + 1: -1 for s in self.sources}
+    def _reach(self, seeds, pred, stop=-1, uncut=()) -> dict[int, int]:
+        """The residual BFS: state -> parent for every state it reaches
+        from the seeds (which map to -1), over the arcs that `pred` gives.
+
+        It stops as soon as it reaches `stop`, and lets in(e) step to out(e)
+        for every e in `uncut` even when e is used.  With `self.succ` for
+        `pred`, seeded at out(sink), it runs on the reversed flow with in-
+        and out-states swapped.
+        """
+        adj, blocked = self.adj, self.blocked
+        parent = dict.fromkeys(seeds, -1)
         queue = list(parent)
         for x in queue:  # grows while it is read: a FIFO without pops
             v = x >> 1
@@ -97,24 +106,36 @@ class FlowNetwork:
                     if not blocked[w] and 2 * w not in parent:
                         parent[2 * w] = x
                         queue.append(2 * w)
-                if target in parent:
-                    return True
+                if stop in parent:
+                    break
                 if pred[v] < 0:
                     continue
                 y = x - 1
             else:
                 u = pred[v]
-                y = x + 1 if u < 0 else 2 * u + 1
+                if u < 0:
+                    y = x + 1
+                else:
+                    if v in uncut and x + 1 not in parent:
+                        parent[x + 1] = x
+                        queue.append(x + 1)
+                    y = 2 * u + 1
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
-        return False
+        return parent
 
-    def _augment(self) -> None:
+    def _cut(self, reached) -> Separator:
+        """The vertices whose in-state is reached and whose out-state is not."""
+        cut = sorted(x >> 1 for x in reached if not x & 1 and x + 1 not in reached)
+        assert len(cut) == self.value
+        return tuple(cut)
+
+    def _augment(self, parent: dict[int, int]) -> None:
         # Each out(u) -> in(w) step of the path sets the flow edge u -> w; a
         # step back from out(w) to in(w) frees w.  Every pred/succ slot the
         # path cancels is rewritten by exactly one step of the same path.
-        pred, succ, parent = self.pred, self.succ, self.parent
+        pred, succ = self.pred, self.succ
         y = parent[2 * self.sink]
         succ[y >> 1] = self.sink
         x = parent[y]
@@ -134,87 +155,46 @@ class FlowNetwork:
         assert not self._ran
         self._ran = True
         _flow_calls += 1
-        while self._search():
-            self._augment()
+        seeds, target = [2 * s + 1 for s in self.sources], 2 * self.sink
+        while True:
+            parent = self._reach(seeds, self.pred, target)
+            if target not in parent:
+                break
+            self._augment(parent)
+            del parent  # freed before the next search builds its own
             self.value += 1
+        self.parent = parent
         return self.value
 
     def closest_cut(self) -> Separator:
-        """Minimum cut with inclusion-minimal source side.
-
-        Read off the final, failed search: the vertices whose in-state it
-        reached and whose out-state it did not.
-        """
-        reached = self.parent
-        cut = sorted(x >> 1 for x in reached if not x & 1 and x + 1 not in reached)
-        assert len(cut) == self.value
-        return tuple(cut)
+        """Minimum cut with inclusion-minimal source side, read off the
+        final, failed search of max_flow."""
+        return self._cut(self.parent)
 
     def closest_cut_with(self, include=(), excluded=()) -> Separator | None:
         """Closest minimum cut that contains `include` and avoids
         `excluded`, or None when no minimum cut does.
 
-        Run after max_flow.  One closure from the sources' out-states and
-        every in(i), i in `include`, over the residual arcs of `_search`
-        plus in(e) -> out(e) for every e in `excluded`; it is infeasible
-        exactly when it reaches in(sink) or out(i) for some i in `include`.
+        Run after max_flow.  One residual search from the sources'
+        out-states and every in(i), i in `include`, that may also step from
+        in(e) to out(e) for every e in `excluded`; it is infeasible exactly
+        when it reaches in(sink) or out(i) for some i in `include`.
         """
         assert self._ran
-        adj, blocked, pred = self.adj, self.blocked, self.pred
-        uncut = set(excluded)
-        seen = {2 * s + 1 for s in self.sources}
-        seen.update(2 * i for i in include)
-        queue = list(seen)
-        for x in queue:  # grows while it is read, as in _search
-            v = x >> 1
-            if x & 1:
-                step = [2 * w for w in adj[v] if not blocked[w]]
-                if pred[v] >= 0:
-                    step.append(x - 1)
-            else:
-                u = pred[v]
-                step = [x + 1 if u < 0 else 2 * u + 1]
-                if v in uncut:
-                    step.append(x + 1)
-            for y in step:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if 2 * self.sink in seen or any(2 * i + 1 in seen for i in include):
+        seeds = [*(2 * s + 1 for s in self.sources), *(2 * i for i in include)]
+        reached = self._reach(seeds, self.pred, 2 * self.sink, set(excluded))
+        if 2 * self.sink in reached or any(2 * i + 1 in reached for i in include):
             return None
-        cut = sorted(x >> 1 for x in queue if not x & 1 and x + 1 not in seen)
-        assert len(cut) == self.value
-        return tuple(cut)
+        return self._cut(reached)
 
     def furthest_cut(self) -> Separator:
         """Minimum cut with inclusion-maximal source side.
 
-        One backward sweep from in(sink) over the residual arcs: the cut is
-        the vertices whose out-state reaches the sink and in-state does not.
+        The closest cut of the reversed flow, from the sink: the residual
+        search from out(sink) with `succ` for `pred` reaches in(v) exactly
+        when out(v) reaches in(sink) in the flow itself.
         """
-        adj, blocked, pred, succ = self.adj, self.blocked, self.pred, self.succ
-        seen = {2 * self.sink}
-        queue = list(seen)
-        for x in queue:
-            v = x >> 1
-            if x & 1:  # entered from in(v) if v is free, else from in(succ[v])
-                y = x - 1 if pred[v] < 0 else 2 * succ[v]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-                continue
-            # in(v) is entered from out(u) of every live neighbour u, and
-            # from out(v) if v is used
-            for u in adj[v]:
-                if not blocked[u] and 2 * u + 1 not in seen:
-                    seen.add(2 * u + 1)
-                    queue.append(2 * u + 1)
-            if pred[v] >= 0 and x + 1 not in seen:
-                seen.add(x + 1)
-                queue.append(x + 1)
-        cut = sorted(x >> 1 for x in queue if x & 1 and x - 1 not in seen)
-        assert len(cut) == self.value
-        return tuple(cut)
+        return self._cut(self._reach([2 * self.sink + 1], self.succ))
 
     def disjoint_paths(self) -> list[list[int]]:
         """The flow as internally vertex-disjoint source-to-sink paths."""

@@ -13,10 +13,10 @@ from .errors import SepenumError
 from .graph import Graph, Separator, Terminals
 
 
-def _guard(G: Graph, term: Terminals, limit: int) -> None:
+def _guard(G: Graph, term: Terminals, limit: int, *vertices: int) -> None:
     if G.n > limit:
         raise SepenumError(f"n={G.n} exceeds oracle guard {limit}")
-    for v in term:
+    for v in (*term, *vertices):
         if not 0 <= v < G.n:
             raise SepenumError(f"vertex id {v} out of range for n={G.n}")
 
@@ -127,7 +127,7 @@ def brute_chordless_paths_through(
     G: Graph, term: Terminals, v: int, max_n: int = 14
 ) -> list[list[int]]:
     """All chordless s,t-paths through v, in lexicographic DFS order."""
-    _guard(G, term, max_n)
+    _guard(G, term, max_n, v)
     masks = tuple(_mask(a) for a in G.adj)
     paths: list[list[int]] = []
     target = term.t

@@ -289,6 +289,25 @@ def test_out_of_range_terminals_raise(name):
             query(THETA.graph, Terminals(s, t))
 
 
+@pytest.mark.parametrize("bad", (P4.graph.n, -1), ids=("n", "-1"))
+def test_out_of_range_vertex_arguments_raise(bad):
+    g, term = P4.graph, P4.terminals
+    for query in (
+        lambda: sp.min_separator_containing(g, term, (bad,)),
+        lambda: sp.min_separator_excluding(g, term, (bad,)),
+        lambda: sp.component_of(g, (bad,), 0),
+        lambda: sp.component_of(g, (), bad),
+        lambda: sp.saturate(g, (bad,)),
+        lambda: sp.add_star(g, bad, (1,)),
+        lambda: sp.add_star(g, 0, (bad,)),
+        lambda: sp.chordless_path_to_separator(g, term, [0, bad, 2, 3], 2),
+        lambda: sp.chordless_path_to_separator(g, term, [0, 1, 2, 3], bad),
+        lambda: sp.brute_chordless_paths_through(g, term, bad),
+    ):
+        with pytest.raises(SepenumError, match=f"vertex id {bad} out of range for n=4"):
+            query()
+
+
 def test_close_separator_errors():
     with pytest.raises(TerminalsAdjacent, match="'t' is in the closed neighbourhood of s"):
         sp.close_separator(parse_graph("s t"), Terminals(0, 1))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -356,7 +357,9 @@ def test_closest_cut_with_is_the_closest_constrained_minimum_separator(data):
                          if rest else st.just(set()), label="excluded")
     feasible = [X for X in sp.brute_minimum_separators(g, term)
                 if include <= set(X) and excluded.isdisjoint(X)]
+    closest, furthest = net.closest_cut(), net.furthest_cut()
     got = net.closest_cut_with(include, excluded)
+    assert net.closest_cut() == closest and net.furthest_cut() == furthest
     if not feasible:
         assert got is None
         return
@@ -371,12 +374,13 @@ def test_a_maximum_starting_flow_needs_no_augmenting_search():
     assert cold.max_flow() == 4
     warm = FlowNetwork(g, (term.s,), term.t, flow=cold.disjoint_paths())
     found = []
-    search = warm._search
-    def counted_search():
-        found.append(search())
+    reach = warm._reach
+    def counted_reach(*args):
+        found.append(reach(*args))
         return found[-1]
-    warm._search = counted_search
-    assert warm.max_flow() == 4 and found == [False]
+    warm._reach = counted_reach
+    assert warm.max_flow() == 4
+    assert len(found) == 1 and 2 * term.t not in found[0]
     assert warm.closest_cut() == cold.closest_cut()
     assert warm.furthest_cut() == cold.furthest_cut()
     assert warm.disjoint_paths() == cold.disjoint_paths()
@@ -388,3 +392,29 @@ def test_kappa_on_a_long_cycle():
     cut = sp.kappa(g, Terminals(0, n // 2))
     assert cut.kappa == 2 and len(cut.disjoint_paths) == 2
     assert set().union(*cut.disjoint_paths) == set(range(n))
+
+
+def test_flow_and_both_cuts_agree_with_networkx_past_the_oracles():
+    # Random 4-regular graphs far beyond the n <= 16 of the oracles: the
+    # flow value is networkx's local vertex connectivity, both canonical
+    # cuts separate, and the closest cut's s-side lies in the furthest's.
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity,
+        local_node_connectivity,
+    )
+    for n, pairs in ((50, 12), (500, 8), (5000, 6)):
+        nxg = nx.random_regular_graph(4, n, seed=n)
+        g = Graph(n, nxg.edges())
+        aux = build_auxiliary_node_connectivity(nxg)
+        rng = random.Random(n)
+        for _ in range(pairs):
+            s, t = rng.sample(range(n), 2)
+            while t in g.adj[s]:
+                s, t = rng.sample(range(n), 2)
+            term = Terminals(s, t)
+            net = FlowNetwork(g, (s,), t)
+            assert net.max_flow() == local_node_connectivity(nxg, s, t, auxiliary=aux)
+            closest, furthest = net.closest_cut(), net.furthest_cut()
+            assert sp.is_separator(g, term, closest) and sp.is_separator(g, term, furthest)
+            assert sp.component_of(g, closest, s) <= sp.component_of(g, furthest, s)
