@@ -108,6 +108,7 @@ class Graph:
         """
         added: dict[int, set[int]] = {}
         for u, v in extra:
+            _require_ids(self, (u, v))
             if u == v:
                 raise SepenumError(f"self-loop at vertex {self.labels[u]!r}")
             added.setdefault(u, set()).add(v)

@@ -2,24 +2,36 @@
 
 Every vertex but the sources and the sink has capacity one, so a flow is
 a family of internally vertex-disjoint paths, kept as one `pred` and one
-`succ` per vertex.  One residual search, `_reach`, walks implicit split
-states in(v) = 2v and out(v) = 2v + 1 without building a network: out(v)
-reaches in(w) of every live neighbour w, and in(v) when v is used; in(v)
-reaches out(v) when v is free and out(pred[v]) when it is used.  It finds
-every augmenting path and answers every cut query below; `_cut` reads a
-cut off what it reached: the vertices v with in(v) reached and out(v) not.
+`succ` per vertex.  The residual graph lives on implicit split states
+in(v) = 2v and out(v) = 2v + 1, with no network built: out(v) reaches
+in(w) of every live neighbour w, and in(v) when v is used; in(v) reaches
+out(v) when v is free and out(pred[v]) when it is used.  Swap in- and
+out-states and read `succ` for `pred`, and the same rules give the
+reversed residual graph.  So one traversal, `_grow`, runs both ways: a
+forward side from the sources' out-states and a backward side from
+in(sink), each in its own coordinates.
+
+An augmenting search, `_search`, grows the side with the smaller frontier
+until it is the larger one, and splices the two sides at the first state
+both reach (Pohl 1971).  On a sparse random graph with the sink far from
+the sources the sides meet after a small part of the graph, where a
+one-sided search fills nearly all of it; on a band or a cycle they meet
+in the middle and reach about what one side would.  `_cut` reads a cut
+off a finished side: the vertices v with in(v) reached and out(v) not, in
+the side's own coordinates.
 
 After a maximum flow, the minimum cuts are exactly the state sets C that
 contain the sources' out-states, avoid in(sink) and are closed under
 those residual arcs (Picard & Queyranne 1980).  The closest cut is the
-least such set, the final failed search of the flow.  The furthest cut is
-the least one of the reversed flow: swap in- and out-states and read
-`succ` for `pred`, and the search from out(sink) reaches in(v) exactly
-when out(v) reaches in(sink), at the same O(n + m) cost.
+least such set: the forward side of the final, failed search, finished.
+The furthest cut is the least one of the reversed flow: the backward
+side, finished, holds in(v) in its coordinates exactly when out(v)
+reaches in(sink).  The failed search ends when either side dies, and
+each cut query finishes only the side it reads, at most O(n + m).
 `closest_cut_with(include, excluded)` answers one constrained query with
-one more search and no further flow: it seeds in(i) for every i in
-`include`, adds the arc in(e) -> out(e) for every e in `excluded` (e is
-not cut), and fails when it reaches in(sink) or an out(i).  Each
+one more, one-sided search and no further flow: it seeds in(i) for every
+i in `include`, adds the arc in(e) -> out(e) for every e in `excluded`
+(e is not cut), and fails when it reaches in(sink) or an out(i).  Each
 constraint is an implication between states, so the feasible sets still
 form a lattice and the least one is the closest feasible cut.
 
@@ -28,6 +40,7 @@ bounds can be checked externally.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import AlreadySeparated, SepenumError
 from .graph import (
@@ -46,6 +59,33 @@ _flow_calls = 0
 def flow_call_count() -> int:
     """Total max-flow computations performed so far in this process."""
     return _flow_calls
+
+
+class _Side:
+    """One side of a residual search, in its own coordinates.
+
+    seen[x] is -2 while state x is unseen, -3 for a state the side never
+    enters, -1 for a seed and otherwise the state x was reached from.
+    `queue` lists the reached states in BFS order; the first `head` of
+    them are expanded, and `rest` iterates over the others.  `link` is
+    `pred` forward and `succ` backward.
+    """
+
+    __slots__ = ("seen", "link", "queue", "head", "rest")
+
+    def __init__(self, seen: list[int], link: list[int]):
+        self.seen, self.link, self.queue, self.head = seen, link, [], 0
+        self.rest = iter(self.queue)
+
+    def start(self, seeds) -> None:
+        """Forget the last search, in O(states it reached), and seed anew."""
+        seen = self.seen
+        for x in self.queue:
+            seen[x] = -2
+        for x in seeds:
+            seen[x] = -1
+        self.queue, self.head = list(seeds), 0
+        self.rest = iter(self.queue)
 
 
 class FlowNetwork:
@@ -69,132 +109,197 @@ class FlowNetwork:
         removed = set(removed)
         source_set = set(sources) - removed
         _require_apart(G, source_set, sink)
+        blocked = self._blocked = source_set | removed
         self.sources = sorted(source_set)
-        # sources and removed vertices are never entered from a neighbour
-        self.blocked = bytearray(G.n)
-        for v in (*self.sources, *removed):
-            self.blocked[v] = 1
         pred = self.pred = [-1] * G.n
         succ = self.succ = [-1] * G.n
-        self.parent: dict[int, int] = {}  # max_flow's final search: state -> state
+        # Neither side enters a removed vertex, and the forward side enters
+        # no source.  The backward side may step into out(source), where it
+        # meets the forward side, so a backward side that dies has found
+        # no path however little the forward side has grown.
+        seen = [-2] * (2 * G.n)
+        for v in removed:
+            seen[2 * v] = -3
+        self._bwd = _Side(seen, succ)
+        self._fwd = _Side(self._unseen(), pred)
+        # a source whose neighbours are all blocked reaches nothing: seeding
+        # it would only inflate the forward frontier that _search balances
+        self._seeds = [2 * s + 1 for s in self.sources if not self.adj[s] <= blocked]
         self.value = 0
         self._ran = False
         for path in flow:  # link every inner vertex to its path neighbours
             assert path[0] in source_set and path[-1] == sink
             for u, w, x in zip(path, path[1:-1], path[2:]):
-                assert not self.blocked[w] and pred[w] < 0 and w in self.adj[u]
+                assert w not in blocked and pred[w] < 0 and w in self.adj[u]
                 pred[w], succ[w] = u, x
             assert sink in self.adj[path[-2]]
             self.value += 1
 
-    def _reach(self, seeds, pred, stop=-1, uncut=()) -> dict[int, int]:
-        """The residual BFS: state -> parent for every state it reaches
-        from the seeds (which map to -1), over the arcs that `pred` gives.
+    def _unseen(self) -> list[int]:
+        """A `seen` list for a new forward side."""
+        seen = [-2] * (2 * len(self.adj))
+        for v in self._blocked:
+            seen[2 * v] = -3
+        return seen
 
-        It stops as soon as it reaches `stop`, and lets in(e) step to out(e)
-        for every e in `uncut` even when e is used.  With `self.succ` for
-        `pred`, seeded at out(sink), it runs on the reversed flow with in-
-        and out-states swapped.
+    def _grow(self, side: _Side, theirs: list[int], limit=None, uncut=()) -> int:
+        """The residual BFS: expand `side` over the arcs its `link` gives,
+        in rounds, until its frontier holds more than `limit` states or it
+        dies (only the latter when `limit` is None).  Return the first
+        state it reaches that `theirs`, a `seen` list in the swapped
+        coordinates, holds, or -1.
+
+        A round expands as many states as the side holds, so it finishes
+        the current BFS level, and a side that crosses a long, narrow graph
+        does so in a logarithmic number of rounds.  It lets in(e) step to
+        out(e) for every e in `uncut` even when e is used.
         """
-        adj, blocked = self.adj, self.blocked
-        parent = dict.fromkeys(seeds, -1)
-        queue = list(parent)
-        for x in queue:  # grows while it is read: a FIFO without pops
-            v = x >> 1
-            if x & 1:
-                for w in adj[v]:
-                    if not blocked[w] and 2 * w not in parent:
-                        parent[2 * w] = x
-                        queue.append(2 * w)
-                if stop in parent:
-                    break
-                if pred[v] < 0:
-                    continue
-                y = x - 1
-            else:
-                u = pred[v]
-                if u < 0:
-                    y = x + 1
+        adj, link, seen, queue, rest = (
+            self.adj, side.link, side.seen, side.queue, side.rest)
+        head = side.head
+        if limit is None:
+            limit = len(seen)
+        while head < len(queue):
+            end = head + len(queue)
+            for x in islice(rest, len(queue)):
+                v = x >> 1
+                if x & 1:
+                    for w in adj[v]:
+                        y = 2 * w
+                        if seen[y] == -2:
+                            seen[y] = x
+                            queue.append(y)
+                            if theirs[y + 1] >= -1:
+                                return y
+                    if link[v] < 0:
+                        continue
+                    y = x - 1
                 else:
-                    if v in uncut and x + 1 not in parent:
-                        parent[x + 1] = x
-                        queue.append(x + 1)
-                    y = 2 * u + 1
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-        return parent
+                    u = link[v]
+                    if u < 0:
+                        y = x + 1
+                    else:
+                        if v in uncut and seen[x + 1] == -2:
+                            seen[x + 1] = x
+                            queue.append(x + 1)
+                            if theirs[x] >= -1:
+                                return x + 1
+                        y = 2 * u + 1
+                if seen[y] == -2:
+                    seen[y] = x
+                    queue.append(y)
+                    if theirs[y ^ 1] >= -1:
+                        return y
+            head = min(end, len(queue))
+            if len(queue) - head > limit:
+                break
+        side.head = head
+        return -1
 
-    def _cut(self, reached) -> Separator:
-        """The vertices whose in-state is reached and whose out-state is not."""
-        cut = sorted(x >> 1 for x in reached if not x & 1 and x + 1 not in reached)
+    def _search(self) -> int:
+        """One augmenting search from both ends: the side with the smaller
+        frontier grows until its frontier is the larger one, then the other
+        side takes over, until the sides meet.  Return the meeting state,
+        or -1 when a side dies, which leaves that side finished and the
+        other one partial."""
+        fwd, bwd = self._fwd, self._bwd
+        fwd.start(self._seeds)
+        bwd.start([2 * self.sink + 1])
+        while True:
+            if len(fwd.queue) - fwd.head <= len(bwd.queue) - bwd.head:
+                side, other = fwd, bwd
+            else:
+                side, other = bwd, fwd
+            if side.head == len(side.queue):
+                return -1
+            met = self._grow(side, other.seen, len(other.queue) - other.head)
+            if met >= 0:
+                return met if side is fwd else met ^ 1
+
+    def _cut(self, side: _Side) -> Separator:
+        """The vertices whose in-state the finished side reached and whose
+        out-state it did not, in the side's coordinates."""
+        seen = side.seen
+        cut = sorted(x >> 1 for x in side.queue if not x & 1 and seen[x + 1] == -2)
         assert len(cut) == self.value
         return tuple(cut)
 
-    def _augment(self, parent: dict[int, int]) -> None:
-        # Each out(u) -> in(w) step of the path sets the flow edge u -> w; a
-        # step back from out(w) to in(w) frees w.  Every pred/succ slot the
-        # path cancels is rewritten by exactly one step of the same path.
-        pred, succ = self.pred, self.succ
-        y = parent[2 * self.sink]
-        succ[y >> 1] = self.sink
-        x = parent[y]
+    def _augment(self, met: int) -> None:
+        # The path runs from a seed out(source) along the forward side's
+        # parents to `met`, then along the backward side's to in(sink), so
+        # its states alternate out, in, out, ..., in.  Each out(u) -> in(w)
+        # step sets the flow edge u -> w, and one from out(w) back to in(w)
+        # frees w.  Every pred/succ slot the path cancels is rewritten by
+        # exactly one such step; pred[sink] is never read.
+        fseen, bseen = self._fwd.seen, self._bwd.seen
+        path, x = [], met
         while x >= 0:
-            y = parent[x]
-            u, w = y >> 1, x >> 1
+            path.append(x)
+            x = fseen[x]
+        path.reverse()
+        x = bseen[met ^ 1]
+        while x >= 0:
+            path.append(x ^ 1)
+            x = bseen[x]
+        pred, succ = self.pred, self.succ
+        steps = iter(path)
+        for x, y in zip(steps, steps):
+            u, w = x >> 1, y >> 1
             if u == w:
                 pred[w] = succ[w] = -1
             else:
                 succ[u] = w
                 pred[w] = u
-            x = parent[y]
 
     def max_flow(self) -> int:
-        """Augment along shortest residual paths until the sink is cut off."""
+        """Augment along paths from searches grown from both ends until
+        the sink is cut off; the final, failed search stays for the cuts."""
         global _flow_calls
         assert not self._ran
         self._ran = True
         _flow_calls += 1
-        seeds, target = [2 * s + 1 for s in self.sources], 2 * self.sink
-        while True:
-            parent = self._reach(seeds, self.pred, target)
-            if target not in parent:
-                break
-            self._augment(parent)
-            del parent  # freed before the next search builds its own
+        while (met := self._search()) >= 0:
+            self._augment(met)
             self.value += 1
-        self.parent = parent
         return self.value
 
     def closest_cut(self) -> Separator:
-        """Minimum cut with inclusion-minimal source side, read off the
-        final, failed search of max_flow."""
-        return self._cut(self.parent)
+        """Minimum cut with inclusion-minimal source side: the forward side
+        of max_flow's final, failed search, finished."""
+        self._grow(self._fwd, self._bwd.seen)
+        return self._cut(self._fwd)
 
     def closest_cut_with(self, include=(), excluded=()) -> Separator | None:
         """Closest minimum cut that contains `include` and avoids
         `excluded`, or None when no minimum cut does.
 
-        Run after max_flow.  One residual search from the sources'
+        Run after max_flow.  One forward search from the sources'
         out-states and every in(i), i in `include`, that may also step from
         in(e) to out(e) for every e in `excluded`; it is infeasible exactly
-        when it reaches in(sink) or out(i) for some i in `include`.
+        when it reaches in(sink) or out(i) for some i in `include`, which
+        it marks as the states of an unmoving other side.
         """
         assert self._ran
-        seeds = [*(2 * s + 1 for s in self.sources), *(2 * i for i in include)]
-        reached = self._reach(seeds, self.pred, 2 * self.sink, set(excluded))
-        if 2 * self.sink in reached or any(2 * i + 1 in reached for i in include):
+        side = _Side(self._unseen(), self.pred)
+        side.start([*self._seeds, *(2 * i for i in include)])
+        infeasible = [-2] * len(side.seen)  # in the swapped coordinates
+        infeasible[2 * self.sink + 1] = -1
+        for i in include:
+            infeasible[2 * i] = -1
+        if self._grow(side, infeasible, uncut=set(excluded)) >= 0:
             return None
-        return self._cut(reached)
+        return self._cut(side)
 
     def furthest_cut(self) -> Separator:
         """Minimum cut with inclusion-maximal source side.
 
-        The closest cut of the reversed flow, from the sink: the residual
-        search from out(sink) with `succ` for `pred` reaches in(v) exactly
-        when out(v) reaches in(sink) in the flow itself.
+        The closest cut of the reversed flow: the backward side of
+        max_flow's final, failed search, finished, reaches in(v) in its
+        swapped coordinates exactly when out(v) reaches in(sink) in the
+        flow.
         """
-        return self._cut(self._reach([2 * self.sink + 1], self.succ))
+        self._grow(self._bwd, self._fwd.seen)
+        return self._cut(self._bwd)
 
     def disjoint_paths(self) -> list[list[int]]:
         """The flow as internally vertex-disjoint source-to-sink paths."""

@@ -303,6 +303,8 @@ def test_out_of_range_vertex_arguments_raise(bad):
         lambda: sp.chordless_path_to_separator(g, term, [0, bad, 2, 3], 2),
         lambda: sp.chordless_path_to_separator(g, term, [0, 1, 2, 3], bad),
         lambda: sp.brute_chordless_paths_through(g, term, bad),
+        lambda: g.with_edges([(0, bad)]),
+        lambda: g.with_edges([(bad, 3)]),
     ):
         with pytest.raises(SepenumError, match=f"vertex id {bad} out of range for n=4"):
             query()

@@ -263,13 +263,36 @@ def test_flow_network_on_source_and_removed_sets(data):
 
 
 def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
-    # In this adjacency order the first path is 29-19-10-2-39; the second
-    # runs 29-3-8-2, back through 10 to 19, then on to 15-9-39, and so
-    # takes 10 out of the flow.  Random graphs this small rarely do that.
-    g = Graph(40, [(0, 4), (0, 35), (2, 8), (2, 10), (2, 30), (2, 39), (3, 8),
-                   (3, 29), (4, 8), (5, 30), (5, 37), (9, 15), (9, 39), (10, 19),
-                   (15, 19), (15, 35), (19, 29), (29, 37)])
-    assert _check_flow(g, {29}, 39, set()).value == 2
+    # In this adjacency order the first path is 0-5-8-17-20-13-21; the
+    # second runs 0-12-11-15-10-2-13, back through 20 to 17, then on to
+    # 19-6-21, and so takes 20 out of the flow.  Random graphs this small
+    # rarely do that.
+    g = Graph(22, [(0, 5), (0, 12), (1, 20), (2, 10), (2, 13), (2, 14), (4, 8),
+                   (5, 8), (6, 19), (6, 21), (8, 14), (8, 17), (9, 15), (10, 15),
+                   (11, 12), (11, 15), (13, 20), (13, 21), (14, 20), (16, 19),
+                   (17, 19), (17, 20), (18, 21)])
+    net = FlowNetwork(g, (0,), 21)
+    used = []
+    augment = net._augment
+    def recording_augment(met):
+        augment(met)
+        used.append(net.pred[20] >= 0)
+    net._augment = recording_augment
+    assert net.max_flow() == 2 and used == [True, False]
+    assert _check_flow(g, {0}, 21, set()).disjoint_paths() == [
+        [0, 5, 8, 17, 19, 6, 21], [0, 12, 11, 15, 10, 2, 13, 21]]
+
+
+def test_a_backward_side_that_dies_first_still_meets_a_source():
+    # From in(5) the backward side reaches out(1), in(1) and then out(4), a
+    # source's out-state that the forward side holds as a seed before it
+    # has grown at all.  A backward side that could not enter out(4) would
+    # die there and report no path, value 0.
+    g = Graph(6, [(0, 2), (1, 4), (1, 5), (2, 4)])
+    net = _check_flow(g, {2, 4}, 5, set())
+    assert net.value == 1
+    assert net.closest_cut() == net.furthest_cut() == (1,)
+    assert net.disjoint_paths() == [[4, 1, 5]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,16 +397,58 @@ def test_a_maximum_starting_flow_needs_no_augmenting_search():
     assert cold.max_flow() == 4
     warm = FlowNetwork(g, (term.s,), term.t, flow=cold.disjoint_paths())
     found = []
-    reach = warm._reach
-    def counted_reach(*args):
-        found.append(reach(*args))
+    search = warm._search
+    def counted_search():
+        found.append(search())
         return found[-1]
-    warm._reach = counted_reach
+    warm._search = counted_search
     assert warm.max_flow() == 4
-    assert len(found) == 1 and 2 * term.t not in found[0]
+    assert found == [-1] and warm._fwd.seen[2 * term.t] == -2
     assert warm.closest_cut() == cold.closest_cut()
     assert warm.furthest_cut() == cold.furthest_cut()
     assert warm.disjoint_paths() == cold.disjoint_paths()
+
+
+def _two_hamiltonian_cycles(n: int, seed: int) -> tuple[Graph, Terminals]:
+    """A random 4-regular graph, the union of two random Hamiltonian cycles
+    that share no edge, with s a random vertex and t the vertex farthest
+    from it."""
+    rng = random.Random(seed)
+    while True:
+        edges = set()
+        for _ in range(2):
+            order = rng.sample(range(n), n)
+            edges.update((min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1]))
+        if len(edges) == 2 * n:
+            break
+    g = Graph(n, edges)
+    s = rng.randrange(n)
+    dist, frontier, d = {s: 0}, [s], 0
+    while frontier:
+        d += 1
+        frontier = [w for v in frontier for w in g.adj[v] if w not in dist]
+        dist.update(dict.fromkeys(frontier, d))
+    return g, Terminals(s, max(range(n), key=lambda v: (dist[v], -v)))
+
+
+def test_augmenting_searches_reach_a_small_part_of_a_sparse_random_graph():
+    # With t as far from s as it gets, a search grown from s alone fills
+    # nearly all 2n split states before it reaches t, about 7.9 n over the
+    # whole flow.  Grown from both ends, the two sides meet early.
+    n = 20_000
+    g, term = _two_hamiltonian_cycles(n, 7)
+    net = FlowNetwork(g, (term.s,), term.t)
+    reached = []
+    search = net._search
+    def counted_search():
+        met = search()
+        reached.append(len(net._fwd.queue) + len(net._bwd.queue))
+        return met
+    net._search = counted_search
+    assert net.max_flow() == 4 and len(reached) == 5
+    assert sum(reached) < n
+    assert net.closest_cut() == tuple(sorted(g.adj[term.s]))
+    assert net.furthest_cut() == tuple(sorted(g.adj[term.t]))
 
 
 def test_kappa_on_a_long_cycle():
@@ -418,3 +483,61 @@ def test_flow_and_both_cuts_agree_with_networkx_past_the_oracles():
             closest, furthest = net.closest_cut(), net.furthest_cut()
             assert sp.is_separator(g, term, closest) and sp.is_separator(g, term, furthest)
             assert sp.component_of(g, closest, s) <= sp.component_of(g, furthest, s)
+
+
+def _networkx_flow_and_cuts(nx, g: Graph, s: int, t: int):
+    """The flow value and both canonical cuts from networkx's own maximum
+    flow on the split digraph: (v, 0) -> (v, 1) of capacity one for every
+    inner v, (u, 1) -> (v, 0) uncapacitated for every edge uv, and the cuts
+    read off its residual network."""
+    from networkx.algorithms.flow import edmonds_karp
+    D = nx.DiGraph()
+    for v in range(g.n):
+        D.add_edge((v, 0), (v, 1), **({} if v in (s, t) else {"capacity": 1}))
+    for u, v in g.edges():
+        D.add_edge((u, 1), (v, 0))
+        D.add_edge((v, 1), (u, 0))
+    R = edmonds_karp(D, (s, 1), (t, 0))
+    H = nx.DiGraph((a, b) for a, b, arc in R.edges(data=True)
+                   if arc["flow"] < arc["capacity"])
+    H.add_nodes_from(D)
+    near = nx.descendants(H, (s, 1)) | {(s, 1)}
+    far = nx.ancestors(H, (t, 0)) | {(t, 0)}
+    closest = tuple(v for v in range(g.n) if (v, 0) in near and (v, 1) not in near)
+    furthest = tuple(v for v in range(g.n) if (v, 1) in far and (v, 0) not in far)
+    return R.graph["flow_value"], closest, furthest
+
+
+def _mixed_degree_graph(n: int, seed: int) -> Graph:
+    """Connected, with degrees from 1 up: each vertex joins one to six
+    random earlier ones."""
+    rng = random.Random(seed)
+    edges = [(u, v) for v in range(1, n)
+             for u in rng.sample(range(v), min(v, rng.choice((1, 1, 2, 3, 4, 5, 6))))]
+    return Graph(n, edges)
+
+
+def test_flow_cuts_and_paths_agree_with_networkx_at_varied_connectivity():
+    # Bands B(w, L) with w = 1..6 at n close to 5,000, and graphs of mixed
+    # degree up to n = 5,000: the value, both canonical cuts and the paths
+    # (checked by _check_flow) against networkx's flow on the split graph.
+    nx = pytest.importorskip("networkx")
+    cases = []
+    for w in range(1, 7):
+        g, term = band(w, 4998 // w)
+        cases.append((g, term.s, term.t))
+    for n, pairs in ((60, 6), (600, 4), (5000, 3)):
+        g = _mixed_degree_graph(n, n)
+        rng = random.Random(n)
+        for _ in range(pairs):
+            s, t = rng.sample(range(n), 2)
+            while t in g.adj[s]:
+                s, t = rng.sample(range(n), 2)
+            cases.append((g, s, t))
+    values = set()
+    for g, s, t in cases:
+        net = _check_flow(g, {s}, t, set())
+        assert (net.value, net.closest_cut(), net.furthest_cut()) == \
+            _networkx_flow_and_cuts(nx, g, s, t)
+        values.add(net.value)
+    assert values >= set(range(1, 7))
