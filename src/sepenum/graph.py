@@ -12,6 +12,8 @@ neighbourhoods of G minus a vertex set, on which every separator
 predicate and construction below rests, are set computations over them.
 """
 
+from itertools import compress, count, repeat
+from operator import eq
 from typing import AbstractSet, Iterable, NamedTuple
 
 from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent, UnknownLabel
@@ -55,27 +57,27 @@ class Graph:
             labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise SepenumError("labels must be distinct and one per vertex")
-        adj = [set() for _ in range(n)]
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise SepenumError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise SepenumError(f"self-loop at vertex {labels[u]!r}")
-            adj[u].add(v)
-            adj[v].add(u)
         self.n = n
         self.labels = labels
-        self.adj = tuple(frozenset(a) for a in adj)
+        self.adj = _frozen_adj(n, edges)
         self._label_ids = None
+
+    @classmethod
+    def _of(cls, labels: tuple, adj, label_ids) -> "Graph":
+        """A graph over checked labels and frozen neighbourhoods."""
+        g = cls.__new__(cls)
+        g.n, g.labels, g.adj, g._label_ids = len(labels), labels, tuple(adj), label_ids
+        return g
 
     def _with_adj(self, adj) -> "Graph":
         """This graph's labels over adj, a list of frozen neighbourhoods."""
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        g.labels = self.labels
-        g.adj = tuple(adj)
-        g._label_ids = self._label_ids
-        return g
+        return Graph._of(self.labels, adj, self._label_ids)
 
     def vertex(self, label: str) -> int:
         if self._label_ids is None:
@@ -135,6 +137,15 @@ class Graph:
 # ---------------------------------------------------------------------------
 # parsing
 
+def _frozen_adj(n: int, edges: Iterable[tuple[int, int]]) -> tuple[frozenset, ...]:
+    """The frozen neighbourhoods of vertices 0..n-1 under checked edges."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(frozenset, adj))
+
+
 def parse_graph(text: str) -> Graph:
     """Parse edge-list text into a Graph.
 
@@ -142,26 +153,30 @@ def parse_graph(text: str) -> Graph:
     tokens; lines starting with '#' are comments.  Labels are assigned
     dense ids in order of first appearance.  Repeated edges are silently
     deduplicated (set semantics); self-loops are an error.
+
+    The text is checked, split and mapped to ids in whole-text passes, and
+    only text with an error is read again line by line.  Error line numbers
+    count every line, comments and blank lines included.
     """
-    labels: list[str] = []
-    ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise SepenumError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
-        u_lab, v_lab = tokens
-        if u_lab == v_lab:
-            raise SepenumError(f"line {lineno}: self-loop at {u_lab!r}")
-        for lab in (u_lab, v_lab):
-            if lab not in ids:
-                ids[lab] = len(labels)
-                labels.append(lab)
-        edges.append((ids[u_lab], ids[v_lab]))
-    return Graph(len(labels), edges, labels)
+    lines = text.splitlines()
+    if "#" in text:  # blank the comment lines in place, keeping line numbers
+        comments = map(str.startswith, map(str.lstrip, lines), repeat("#"))
+        for i in compress(count(), comments):
+            lines[i] = ""
+        text = "\n".join(lines)
+    tokens = text.split()  # every line break is whitespace to str.split
+    ids = dict(zip(dict.fromkeys(tokens), count()))
+    ends = list(map(ids.__getitem__, tokens))
+    if (not {0, 2}.issuperset(map(len, map(str.split, lines)))
+            or any(map(eq, ends[0::2], ends[1::2]))):
+        for lineno, pair in enumerate(map(str.split, lines), start=1):
+            if len(pair) not in (0, 2):
+                raise SepenumError(f"line {lineno}: expected 2 tokens, got {len(pair)}")
+            if pair and pair[0] == pair[1]:
+                raise SepenumError(f"line {lineno}: self-loop at {pair[0]!r}")
+    del lines, tokens  # ids holds the labels; free the rest before the build
+    pairs = iter(ends)
+    return Graph._of(tuple(ids), _frozen_adj(len(ids), zip(pairs, pairs)), ids)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,19 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_parse_errors_and_unknown_labels_keep_their_messages(capsys, monkeypatch):
+    text = "# theta\r\ns a\r\n\ta t\r\ns b\r\nb c\r\nc t"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "minsep", "-", "-s", "q", "-t", "t") == (
+        2, "", "error: no vertex labeled 'q'\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "minsep", "-", "-s", "s", "-t", "t") == (0, "kappa 2\na,b\n", "")
+    for bad, line in (("s a\n# c\nc c\nd e f\n", "line 3: self-loop at 'c'"),
+                      ("s a\r\n\r\nd e f\r\nc c\r\n", "line 3: expected 2 tokens, got 3")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(bad))
+        assert run(capsys, "minsep", "-", "-s", "s", "-t", "a") == (1, "", f"error: {line}\n")
+
+
 def test_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("s a\na b\nb t\n"))
     code, out, _ = run(capsys, "minsep", "-", "-s", "s", "-t", "t")

@@ -1,4 +1,5 @@
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,8 @@ def test_parse_dedups_repeated_edges():
 def test_parse_comments_and_blanks():
     g = parse_graph("# header\n\ns a\n   \n# tail\na t\n")
     assert g.n == 3 and g.edge_count() == 2
+    g = parse_graph("a#b c\n\t# c d\n")  # a '#' inside a label starts no comment
+    assert g.labels == ("a#b", "c") and g.edge_count() == 1
 
 
 def test_parse_malformed_line():
@@ -60,6 +63,112 @@ def test_parse_malformed_line():
 def test_parse_self_loop():
     with pytest.raises(SepenumError, match="line 1: self-loop at 's'"):
         parse_graph("s s")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a b\nc c\nd e f", "line 2: self-loop at 'c'"),
+    ("a b\nd e f\nc c", "line 2: expected 2 tokens, got 3"),
+    ("# x\n\na b c", "line 3: expected 2 tokens, got 3"),
+    ("a b\r\n  # c d e\r\n\r\nx\r\n", "line 4: expected 2 tokens, got 1"),
+    ("a b\x1cb d\u2028c c", "line 3: self-loop at 'c'"),
+])
+def test_parse_reports_first_error_with_its_line(text, message):
+    with pytest.raises(SepenumError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def _line_by_line_parse(text: str) -> Graph:
+    """The reference parser: one pass over the lines, one edge at a time."""
+    labels: list[str] = []
+    ids: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise SepenumError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+        u_lab, v_lab = tokens
+        if u_lab == v_lab:
+            raise SepenumError(f"line {lineno}: self-loop at {u_lab!r}")
+        for lab in (u_lab, v_lab):
+            if lab not in ids:
+                ids[lab] = len(labels)
+                labels.append(lab)
+        edges.append((ids[u_lab], ids[v_lab]))
+    return Graph(len(labels), edges, labels)
+
+
+def _parse_outcome(parse, text):
+    """(labels, adj) of the parsed text, or the message of its error."""
+    try:
+        g = parse(text)
+    except SepenumError as exc:
+        return str(exc)
+    assert [g.vertex(lab) for lab in g.labels] == list(range(g.n))
+    return g.labels, g.adj
+
+
+LABELS = ("a", "b", "c", "a#b", "#", "#c", "10")
+SPACES = (" ", "  ", "\t", "\x1f", "\u3000")
+BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\u2028", "\u2029")
+
+
+def _random_text(rng) -> str:
+    lines = []
+    for _ in range(rng.randrange(8)):
+        count = rng.choice((0, 2, 2, 2, 2, 1, 3))
+        tokens = [rng.choice(LABELS) for _ in range(count)]
+        if rng.random() < 0.15:
+            tokens.insert(0, "#")
+        line = rng.choice(SPACES).join(tokens)
+        lines.append(rng.choice(("", "", " ", "\t")) + line)
+    text = "".join(line + rng.choice(BREAKS) for line in lines)
+    return text[:-1] if text and rng.random() < 0.5 else text
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "  \n\t\n", "# only a comment", "  # indented\na b", "a#b c\nc a#b",
+    "a b\nb a\na b", "a b\r\nb c\r\n", "a b\x1cb c\x85c d\u2028d e", "a\tb\n\t\nc d",
+    "a b\nc c\nd e f", "a b\nd e f\nc c", "# x\n\na b c", "a b\n#\nb", "x\r\n",
+])
+def test_parse_matches_line_by_line_reference_on_cases(text):
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(_line_by_line_parse, text)
+
+
+def test_parse_matches_line_by_line_reference_on_seeded_texts():
+    rng = random.Random(11)
+    for _ in range(2_000):
+        text = _random_text(rng)
+        assert (_parse_outcome(parse_graph, text)
+                == _parse_outcome(_line_by_line_parse, text)), repr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LABELS + SPACES + BREAKS), max_size=40).map("".join))
+def test_parse_matches_line_by_line_reference(text):
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(_line_by_line_parse, text)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, [], ("a", "a")), "labels must be distinct and one per vertex"),
+    ((2, [], ("a",)), "labels must be distinct and one per vertex"),
+    ((2, [(0, 1), (0, 2)]), r"edge (0,2) out of range for n=2"),
+    ((2, [(-1, 0)]), r"edge (-1,0) out of range for n=2"),
+    ((3, [(0, 1), (2, 2), (0, 5)], ("x", "y", "z")), "self-loop at vertex 'z'"),
+])
+def test_graph_init_errors(args, message):
+    with pytest.raises(SepenumError) as err:
+        Graph(*args)
+    assert str(err.value) == message
+
+
+def test_graph_init_builds_symmetric_neighbourhoods():
+    g = Graph(4, [(0, 1), (1, 0), (2, 1), (3, 2)], "wxyz")
+    assert g.adj == (frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2}))
+    assert g.labels == ("w", "x", "y", "z") and g == parse_graph("w x\ny x\nz y")
 
 
 # ---------------------------------------------------------------------------
