@@ -34,7 +34,6 @@ from .mincut import (
     FlowNetwork,
     flow_call_count,
     kappa,
-    min_separator_between,
     min_separator_containing,
     min_separator_excluding,
 )

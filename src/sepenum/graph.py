@@ -102,25 +102,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with the given edges added (self-loops rejected).
-
-        Only the endpoints that gain a neighbour get a new neighbourhood;
-        every other one is shared with this graph.
-        """
-        added: dict[int, set[int]] = {}
-        for u, v in extra:
-            _require_ids(self, (u, v))
-            if u == v:
-                raise SepenumError(f"self-loop at vertex {self.labels[u]!r}")
-            added.setdefault(u, set()).add(v)
-            added.setdefault(v, set()).add(u)
-        adj = list(self.adj)
-        for x, nbrs in added.items():
-            if not nbrs <= adj[x]:
-                adj[x] = adj[x] | nbrs
-        return self._with_adj(adj)
-
     def __eq__(self, other):
         if isinstance(other, Graph):
             return (
@@ -257,45 +238,58 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
     """Smallest supergraph in which every u in U has a clique as its
     closed neighborhood.
 
-    Saturating one vertex can enlarge another's neighborhood, so the
-    per-vertex cliques are re-applied until nothing changes.  The least
-    fixpoint is unique, hence independent of any ordering of U.  The
-    resulting graph has exactly the minimal separators of G that avoid U.
-    Only the neighbourhoods that grow are rebuilt; the rest are shared
-    with G.
+    It is G with N_G[C] made a clique for every connected component C of
+    G[U], built in one pass.  In any supergraph where every N[u], u in U,
+    is a clique, all of C shares one closed neighborhood, so that clique
+    holds N_G[C]; and a vertex of U next to C lies in C, so no other
+    component's clique reaches N[u] for u in C.  The resulting graph has
+    exactly the minimal separators of G that avoid U.  Only the
+    neighbourhoods that grow are rebuilt; the rest are shared with G.
     """
-    members = sorted(set(U))
-    _require_ids(G, members)
+    members = set(U)
+    _require_ids(G, sorted(members))
     adj = list(G.adj)
-    changed = True
-    while changed:
-        changed = False
-        for u in members:
-            closed = adj[u] | {u}
-            for x in closed:
-                grow = closed - {x} - adj[x]
-                if grow:
-                    adj[x] = adj[x] | grow
-                    changed = True
+    while members:
+        comp = frontier = {members.pop()}
+        while frontier:  # the component of G[U], by a BFS inside U
+            frontier = set().union(*[G.adj[v] for v in frontier]) & members
+            members -= frontier
+            comp |= frontier
+        closed = _boundary(G.adj, comp) | comp
+        for x in closed:
+            grow = closed - {x} - adj[x]
+            if grow:
+                adj[x] = adj[x] | grow
     return G._with_adj(adj)
 
 
 def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:
-    """Add all edges from s to the members of S."""
+    """Add all edges from s to the members of S.
+
+    Only s and the members it was not yet joined to get a new
+    neighbourhood; every other one is shared with G.
+    """
     members = canonical(S)
     _require_ids(G, (s, *members))
     if s in members:
         raise SepenumError(f"vertex {G.labels[s]!r} cannot be joined to itself")
-    return G.with_edges((s, v) for v in members)
+    adj = list(G.adj)
+    new = set(members) - adj[s]
+    if new:
+        adj[s] = adj[s] | new
+        for v in new:
+            adj[v] = adj[v] | {s}
+    return G._with_adj(adj)
 
 
 def absorb(G: Graph, s: int, v: int) -> Graph:
     """Join s to every neighbor of v, which must neighbor s; then no minimal
-    separator between s and another vertex contains v.  No enumeration
-    calls it; it stays while bench/tracing.py names it."""
+    separator between s and another vertex contains v.  It is `add_star`
+    on N(v) - {s}.  No enumeration calls it; it stays while
+    bench/tracing.py names it."""
     if v not in G.adj[s]:
         raise SepenumError(f"vertex {G.labels[v]!r} is not adjacent to {G.labels[s]!r}")
-    return G.with_edges((s, y) for y in G.adj[v] if y != s)
+    return add_star(G, s, G.adj[v] - {s})
 
 
 # ---------------------------------------------------------------------------

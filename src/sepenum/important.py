@@ -27,7 +27,7 @@ from .graph import (
     component_of,
     is_minimal_separator,
 )
-from .mincut import _min_cut, min_separator_between
+from .mincut import _min_cut
 
 
 def is_important(G: Graph, term: Terminals, X) -> bool:
@@ -39,7 +39,7 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
     if not is_minimal_separator(G, term, members):
         return False
     R = component_of(G, members, term.t)
-    return min_separator_between(G, R, term.s, "furthest") == members
+    return _min_cut(G, R, term.s).furthest_cut() == members
 
 
 def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,

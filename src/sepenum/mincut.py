@@ -42,7 +42,7 @@ bounds can be checked externally.
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import AlreadySeparated, SepenumError
+from .errors import AlreadySeparated
 from .graph import (
     Graph,
     Separator,
@@ -348,24 +348,6 @@ def kappa(G: Graph, term: Terminals) -> CutResult:
     """
     net = _terminal_flow(G, term)
     return CutResult(net.value, net.closest_cut(), net.disjoint_paths())
-
-
-def min_separator_between(G: Graph, A, t: int, side: str) -> Separator:
-    """Minimum vertex separator between the set A and the vertex t.
-
-    side="closest" gives the cut with inclusion-minimal A-side component,
-    side="furthest" the inclusion-maximal one.  Raises TerminalsAdjacent
-    when t lies in the closed neighborhood of A.
-    """
-    if side not in ("closest", "furthest"):
-        raise SepenumError(f"side must be 'closest' or 'furthest', got {side!r}")
-    sources = canonical(A)
-    if not sources:
-        raise SepenumError("source set A must be nonempty")
-    net = _min_cut(G, sources, t)
-    if net.value == 0:
-        raise AlreadySeparated(f"{G.labels[t]!r} unreachable from the source set")
-    return net.closest_cut() if side == "closest" else net.furthest_cut()
 
 
 def min_separator_containing(G: Graph, term: Terminals, I) -> Separator | None:

@@ -238,11 +238,8 @@ def test_saturate_fixpoint_filters_overlapping_neighborhoods():
     g = random_connected_graph(8, 0.5, 203)
     term = Terminals(0, 2)
     U = (1, 5)
-    one_pass = g
-    for u in U:
-        one_pass = one_pass.with_edges(
-            (x, y) for x in g.adj[u] | {u} for y in g.adj[u] | {u} if x < y
-        )
+    extra = [(x, y) for u in U for x in g.adj[u] | {u} for y in g.adj[u] | {u} if x < y]
+    one_pass = Graph(g.n, [*g.edges(), *extra], g.labels)
     assert (1, 4, 5, 6) in sp.brute_minimal_separators(one_pass, term)
     fixed = sp.saturate(g, U)
     want = {X for X in sp.brute_minimal_separators(g, term) if not set(X) & set(U)}
@@ -320,7 +317,7 @@ def test_rewrites_equal_a_full_copy_and_share_untouched_neighbourhoods(data):
     g = random_graph(n, data.draw(st.sampled_from((0.15, 0.3, 0.5)), label="p"),
                      data.draw(st.integers(0, 10_000), label="seed"))
     vertex = st.integers(0, n - 1)
-    U = data.draw(st.sets(vertex, max_size=3), label="U")
+    U = data.draw(st.sets(vertex), label="U")
     h = sp.saturate(g, U)
     assert h == _saturate_by_full_copy(g, U)
     _shares_what_it_leaves(g, h)
@@ -412,8 +409,6 @@ def test_out_of_range_vertex_arguments_raise(bad):
         lambda: sp.chordless_path_to_separator(g, term, [0, bad, 2, 3], 2),
         lambda: sp.chordless_path_to_separator(g, term, [0, 1, 2, 3], bad),
         lambda: sp.brute_chordless_paths_through(g, term, bad),
-        lambda: g.with_edges([(0, bad)]),
-        lambda: g.with_edges([(bad, 3)]),
     ):
         with pytest.raises(SepenumError, match=f"vertex id {bad} out of range for n=4"):
             query()

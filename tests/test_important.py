@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -30,6 +31,24 @@ def test_is_important_examples():
 def test_is_important_requires_minimal():
     assert not sp.is_important(P4.graph, P4.terminals, (1, 2))  # {a,b} separates
     assert not sp.is_important(DIAMOND.graph, DIAMOND.terminals, (1,))  # {a} does not
+
+
+def test_is_important_with_the_terminals_already_separated():
+    g, term = parse_graph("s a\nt b"), Terminals(0, 2)
+    assert sp.brute_important(g, term, 1) == {()}
+    assert sp.is_important(g, term, ())
+    assert not sp.is_important(g, term, (1,))  # {a}: t's side does not reach it
+    cases = 0
+    for seed in range(40):
+        g = random_graph(4 + seed % 4, (0.15, 0.25, 0.4)[seed % 3], 1400 + seed)
+        for term in nonadjacent_pairs(g):
+            want = sp.brute_important(g, term, g.n)
+            inner = [v for v in range(g.n) if v not in term]
+            for r in range(len(inner) + 1):
+                for X in itertools.combinations(inner, r):
+                    assert sp.is_important(g, term, X) == (X in want)
+                    cases += 1
+    assert cases > 2000
 
 
 def test_enumerate_important_examples():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepenum as sp
-from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
+from sepenum.errors import AlreadySeparated, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, parse_graph
 from sepenum.mincut import FlowNetwork, flow_call_count
 
@@ -53,20 +53,22 @@ def test_kappa_menger_on_random_graphs():
                 assert not set(p1[1:-1]) & set(p2[1:-1])
 
 
-def test_min_separator_between_examples():
-    g = P4.graph
-    assert sp.min_separator_between(g, (0,), 3, "closest") == (1,)
-    assert sp.min_separator_between(g, (0,), 3, "furthest") == (2,)
-    assert sp.min_separator_between(THETA.graph, (0,), 2, "furthest") == (1, 4)
+def _cuts(g, sources, sink):
+    """The closest and the furthest minimum cut, after _check_flow."""
+    net = _check_flow(g, set(sources), sink, set())
+    return net.closest_cut(), net.furthest_cut()
 
 
-def test_min_separator_between_errors():
+def test_flow_network_cut_examples():
+    assert _cuts(P4.graph, (0,), 3) == ((1,), (2,))
+    assert _cuts(THETA.graph, (0,), 2)[1] == (1, 4)
+
+
+def test_flow_network_adjacent_sink_and_value_zero():
     with pytest.raises(TerminalsAdjacent, match="'a' is in the closed neighbourhood of s"):
-        sp.min_separator_between(P4.graph, (0,), 1, "closest")
-    with pytest.raises(AlreadySeparated):
-        sp.min_separator_between(parse_graph("s a\nt b"), (0,), 2, "closest")
-    with pytest.raises(SepenumError, match="side must be 'closest' or 'furthest'"):
-        sp.min_separator_between(P4.graph, (0,), 3, "nearest")
+        FlowNetwork(P4.graph, (0,), 1)
+    net = _check_flow(parse_graph("s a\nt b"), {0}, 2, set())
+    assert (net.value, net.closest_cut(), net.furthest_cut()) == (0, (), ())
 
 
 def test_flow_network_rejects_a_sink_in_the_sources_closed_neighbourhood():
@@ -84,13 +86,12 @@ def test_both_cut_sides_are_minimal_and_minimum():
         g = random_connected_graph(5 + seed % 5, 0.4, 600 + seed)
         for term in nonadjacent_pairs(g):
             k = sp.kappa(g, term).kappa
-            for side in ("closest", "furthest"):
-                cut = sp.min_separator_between(g, (term.s,), term.t, side)
+            for cut in _cuts(g, (term.s,), term.t):
                 assert len(cut) == k
                 assert sp.is_minimal_separator(g, term, cut)
 
 
-def test_min_separator_between_set_source_matches_brute():
+def test_flow_network_set_source_cuts_match_brute():
     for seed in range(12):
         g = random_connected_graph(7, 0.35, 2000 + seed)
         t = g.n - 1
@@ -112,17 +113,15 @@ def test_min_separator_between_set_source_matches_brute():
                     best = cuts
                     break
             assert best is not None  # g is connected, so some cut exists
-            for side in ("closest", "furthest"):
-                got = sp.min_separator_between(g, A, t, side)
-                assert got in best
+            closest, furthest = _cuts(g, A, t)
+            assert closest in best and furthest in best
             # the two sides bracket every minimum cut's A-side component
             def a_side(X):
                 reach = set()
                 for a in A:
                     reach |= sp.component_of(g, X, a)
                 return reach
-            lo = a_side(sp.min_separator_between(g, A, t, "closest"))
-            hi = a_side(sp.min_separator_between(g, A, t, "furthest"))
+            lo, hi = a_side(closest), a_side(furthest)
             for X in best:
                 assert lo <= a_side(X) <= hi
 
@@ -318,8 +317,8 @@ def test_flow_network_from_part_of_a_max_flow(data):
     removed = data.draw(st.sets(st.sampled_from(inner)) if inner else st.just(set()),
                         label="removed")
     pairs = list(itertools.combinations(range(n), 2))
-    h = g.with_edges(data.draw(st.lists(st.sampled_from(pairs), max_size=4),
-                               label="edges"))
+    extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4), label="edges")
+    h = Graph(n, [*g.edges(), *extra], g.labels)
     if not h.adj[sink].isdisjoint(sources):
         return
     start = [paths[i] for i in sorted(kept) if removed.isdisjoint(paths[i])]
