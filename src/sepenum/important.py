@@ -21,25 +21,26 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
+    _check_avoids_terminals,
     _component,
     _require_separable,
     canonical,
-    component_of,
-    is_minimal_separator,
 )
 from .mincut import _min_cut
 
 
 def is_important(G: Graph, term: Terminals, X) -> bool:
-    """True iff X is an important separator (so, first, a minimal one).
+    """True iff X is an important separator (and so a minimal one).
 
-    Decided without any enumeration, by one flow.
+    One BFS and one flow: with R the component of t in G - X, it holds iff
+    s is not in R and X is the furthest minimum (R, s)-cut.  Such an X is
+    minimal: |X| is the cut value, and N(R) and N(C_s), C_s the component
+    of s, lie in X and are (R, s)-cuts, so both equal X.
     """
     members = canonical(X)
-    if not is_minimal_separator(G, term, members):
-        return False
-    R = component_of(G, members, term.t)
-    return _min_cut(G, R, term.s).furthest_cut() == members
+    _check_avoids_terminals(G, term, members)
+    R = _component(G.adj, (term.t,), set(members))
+    return term.s not in R and _min_cut(G, R, term.s).furthest_cut() == members
 
 
 def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
@@ -96,8 +97,8 @@ def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     """All important s,t-separators of size at most k, by (size, members).
 
     The branching (one flow at the root and one per absorb step, each warm
-    from its parent's paths) gives at most 4^k candidates; the importance
-    test, which checks minimality first, keeps the important ones.
+    from its parent's paths) gives at most 4^k candidates, and
+    `is_important` keeps the important ones.
     """
     _require_separable(G, term)
     found = []

@@ -1,37 +1,39 @@
 """Lawler-style ranked enumeration of s,t-separators by cardinality.
 
-After emitting a separator S, the remaining solution space is split into
-one cell per vertex v_i of S (beyond the already-committed include-set):
-the cell keeps v_1..v_{i-1}, drops v_i, and is represented by saturating
-v_i's closed neighborhood in the cell's working graph, which filters out
-every minimal separator through v_i.  The cheapest member of a cell is
-the minimum cut of the working graph minus the include-set, plus the
-include-set itself.
+A cell of Lawler's partition is two sets: its separators contain the
+include-set and avoid the excluded set.  After emitting S, the minimum of
+its cell, the rest of the cell splits into one child per vertex v_i of S
+beyond the include-set, which includes v_1..v_{i-1} and also excludes
+v_i.  Both streams share this queue loop and differ only in how they
+answer a child: find its minimum, or see that it is empty.
 
-Each queued cell carries the disjoint paths of its own maximum flow, and
-a child's flow starts from them.  The child's graph only gains edges, so
-the parent's paths that avoid the child's include-set are still a flow
-there.  Every parent path crosses S minus the parent's include-set in
-exactly one vertex, so the child starts with |S| - |include-set| paths
-and needs one augmenting search per path it lacks, plus the last, failed
-one.  The working graphs share every neighbourhood `saturate` leaves
-unchanged, so a queued cell costs one n-slot tuple plus the grown sets.
+The ranked stream answers a cell on G saturated at the excluded set,
+which has exactly the minimal separators of G that avoid it: the cell's
+minimum is that graph's minimum cut minus the include-set, plus the
+include-set.  The graph is rebuilt from G, since saturation composes:
+with H = saturate(G, U), N_H[v] already holds N_G[C] for every component
+C of G[U] next to v, so saturate(H, {v}) makes N_G of v's component in
+G[U + {v}] a clique, and equals saturate(G, U + {v}).
+
+Besides its two sets, a queued cell keeps only the disjoint paths of its
+maximum flow, and a child's flow starts from those that avoid its
+include-set: the child's graph only gains edges, and each path crosses
+S minus the parent's include-set once, so the child needs one augmenting
+search per path it lacks, plus the last, failed one.
 
 The ranked stream is sound (every emission separates the original graph),
 duplicate-free, non-decreasing in size, and emits every *minimal*
 separator; supersets of an emitted separator are pruned by construction,
 so the stream is not the full separator family.
 
-The minimum-only stream splits its cells the same way but answers each
-one on the root's residual graph: after one maximum flow, the minimum
-separators that contain the include-set and avoid the excluded vertices
-are the closed sets of that graph under the cell's constraints, and
-`FlowNetwork.closest_cut_with` returns the closest of them or None.  A
-cell is then just (S, include-set, excluded set): no working graph, no
-paths and no further flow call, so each emission costs O(|S|·(n+m)).
-In every cell both streams pick the minimum separator with the
-inclusion-minimal s-side, so minimum-all emits the size-κ prefix of the
-ranked stream in the same order.
+The minimum-only stream answers each cell on the root's residual graph:
+after one maximum flow, the minimum separators that contain the
+include-set and avoid the excluded set are the closed sets of that graph
+under the cell's constraints, and `FlowNetwork.closest_cut_with` returns
+the closest of them or None: no paths, no further flow call, and
+O(|S|·(n+m)) per emission.  In every cell both streams pick the minimum
+separator with the inclusion-minimal s-side, so minimum-all emits the
+size-κ prefix of the ranked stream in the same order.
 """
 
 from heapq import heappop, heappush
@@ -46,7 +48,7 @@ from .graph import (
     is_separator,
     saturate,
 )
-from .mincut import FlowNetwork, _min_cut, _terminal_flow
+from .mincut import _min_cut, _terminal_flow
 
 
 def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
@@ -59,56 +61,52 @@ def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
             prefix.append(v)
 
 
-def _lawler(G: Graph, term: Terminals, root: FlowNetwork) -> Iterator[Separator]:
-    """The ranked queue loop: cells are saturated working graphs."""
+def _lawler(G: Graph, term: Terminals, first, answer) -> Iterator[Separator]:
+    """The queue loop.  `first` is the root's (minimum, kept); a child's is
+    answer(its parent's kept, include, excluded), or None if it is empty."""
     tick = _counter()
-    first = root.closest_cut()
-    queue = [((len(first), first), next(tick), G, frozenset(), frozenset(),
-              root.disjoint_paths())]
+    S, kept = first
+    queue = [((len(S), S), next(tick), frozenset(), frozenset(), kept)]
     while queue:
-        (_, S), _, H, include, excluded, paths = heappop(queue)
-        yield S
-        for v, include_i in _split(S, include):
-            H_v = saturate(H, (v,))
-            if H_v.has_edge(term.s, term.t):
-                continue
-            # the parent's flow minus its paths through include_i is feasible
-            warm = [p for p in paths if include_i.isdisjoint(p)]
-            net = _min_cut(H_v, (term.s,), term.t, removed=include_i, flow=warm)
-            if net.value == 0:
-                continue
-            T = canonical(net.closest_cut() + tuple(include_i))
-            excluded_v = excluded | {v}
-            assert is_separator(G, term, T)
-            assert include_i <= set(T) and not excluded_v & set(T)
-            heappush(queue, ((len(T), T), next(tick), H_v, include_i, excluded_v,
-                             net.disjoint_paths()))
-
-
-def _minimum_cells(G: Graph, term: Terminals, root: FlowNetwork) -> Iterator[Separator]:
-    """The Lawler split of `_lawler`, each cell a closure on root's residual
-    graph.  All separators have size κ and are distinct, so the heap orders
-    them by members alone."""
-    queue = [(root.closest_cut(), frozenset(), frozenset())]
-    while queue:
-        S, include, excluded = heappop(queue)
+        (_, S), _, include, excluded, kept = heappop(queue)
         yield S
         for v, include_i in _split(S, include):
             excluded_v = excluded | {v}
-            T = root.closest_cut_with(include_i, excluded_v)
-            if T is None:
+            child = answer(kept, include_i, excluded_v)
+            if child is None:
                 continue
+            T, kept_i = child
             assert is_separator(G, term, T)
             assert include_i <= set(T) and not excluded_v & set(T)
-            heappush(queue, (T, include_i, excluded_v))
+            heappush(queue, ((len(T), T), next(tick), include_i, excluded_v, kept_i))
 
 
 def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield s,t-separators in non-decreasing cardinality, no duplicates."""
-    return _lawler(G, term, _terminal_flow(G, term))
+    root = _terminal_flow(G, term)
+
+    def answer(paths, include, excluded):
+        H = saturate(G, excluded)
+        if H.has_edge(term.s, term.t):
+            return None
+        # the parent's flow minus its paths through include is feasible in H
+        warm = [p for p in paths if include.isdisjoint(p)]
+        net = _min_cut(H, (term.s,), term.t, removed=include, flow=warm)
+        # include is a proper subset of S, the minimum of the parent's cell,
+        # so it cannot separate s from t there, nor in H, which has more edges
+        assert net.value > 0, "the include-set alone separates s from t"
+        return canonical(net.closest_cut() + tuple(include)), net.disjoint_paths()
+
+    return _lawler(G, term, (root.closest_cut(), root.disjoint_paths()), answer)
 
 
 def iter_minimum_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield exactly the minimum-cardinality s,t-separators, each once, in
     the order of the ranked stream; one flow call in all."""
-    return _minimum_cells(G, term, _terminal_flow(G, term))
+    root = _terminal_flow(G, term)
+
+    def answer(_, include, excluded):
+        T = root.closest_cut_with(include, excluded)
+        return None if T is None else (T, None)
+
+    return _lawler(G, term, (root.closest_cut(), None), answer)

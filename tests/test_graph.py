@@ -259,6 +259,25 @@ def test_saturate_family_matches_filtered_family(seed):
     assert got == want
 
 
+def test_saturation_composes():
+    # The ranked stream builds each Lawler cell's graph from G at the whole
+    # excluded set, not from its parent's graph at one more vertex.  The
+    # cases include V meeting U, and V next to a component of G[U] with
+    # more than one vertex, whose closed neighbourhood V's clique takes in.
+    overlapping = touching = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_graph(10, 0.3, 5200 + seed)
+        U = {v for v in range(g.n) if rng.random() < 0.4}
+        V = {v for v in range(g.n) if rng.random() < 0.25}
+        assert sp.saturate(sp.saturate(g, U), V) == sp.saturate(g, U | V)
+        rest = set(range(g.n)) - U
+        near_V = set().union(*(g.adj[v] for v in V)) - V
+        overlapping += bool(U & V)
+        touching += any(len(sp.component_of(g, rest, u)) > 1 for u in near_V & U)
+    assert overlapping > 50 and touching > 50
+
+
 # ---------------------------------------------------------------------------
 # star addition and absorption
 
@@ -321,6 +340,8 @@ def test_rewrites_equal_a_full_copy_and_share_untouched_neighbourhoods(data):
     h = sp.saturate(g, U)
     assert h == _saturate_by_full_copy(g, U)
     _shares_what_it_leaves(g, h)
+    V = data.draw(st.sets(vertex), label="V")
+    assert sp.saturate(h, V) == sp.saturate(g, U | V)
     s = data.draw(vertex, label="s")
     S = data.draw(st.sets(vertex.filter(lambda v: v != s)), label="S")
     h = sp.add_star(g, s, S)
