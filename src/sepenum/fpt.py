@@ -7,6 +7,10 @@ is G, and after S is emitted H is G with s joined to S and to N(v), for
 each v of S not next to t.  Such a separator of G avoids S's s-side and
 v, so its key is strictly larger than S's; the important ones make the
 stream complete, and a seen-set makes each separator appear once.
+Each rewired branching starts its root flow from the seed root's paths
+cut short at their first vertex w in N_H(s), as [t, ..., w, s].  H holds
+G and each path's last inner vertex is next to s, so these prefixes are
+disjoint paths of H and give a cold start's value, cuts and candidates.
 """
 
 from heapq import heappop, heappush
@@ -36,11 +40,16 @@ def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
     return (len(_component(G.adj, (s,), set(members))), members)
 
 
+def _cut_short(paths: list[list[int]], near, s: int) -> list[list[int]]:
+    """Each path to s cut short at its first vertex w in `near`: [..., w, s]."""
+    return [p[:next(i for i, w in enumerate(p) if w in near) + 1] + [s] for p in paths]
+
+
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     """Yield every minimal s,t-separator of size at most k exactly once."""
     _require_separable(G, term)
     # eager, so a bad k raises here and not at the first pull
-    seeds = _important_candidates(G, term, k)
+    seeds, paths = _important_candidates(G, term, k)
 
     def generate():
         queue: list[tuple[int, Separator]] = []
@@ -62,6 +71,7 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
             yield S
             rewired = (add_star(G, term.s, (set(S) | G.adj[v]) - {term.s})
                        for v in S if term.t not in G.adj[v])
-            branched = ((H, _important_candidates(H, term, k)) for H in rewired)
+            branched = ((H, _important_candidates(H, term, k, _cut_short(
+                paths, H.adj[term.s], term.s))[0]) for H in rewired)
 
     return generate()

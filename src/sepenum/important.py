@@ -44,7 +44,7 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
 
 
 def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
-                budget: int, out: set[frozenset], flow=()) -> None:
+                budget: int, out: set[frozenset], flow=()) -> list[list[int]]:
     """Two-way branching over the vertices of the furthest minimum cut C.
 
     Either a vertex of C joins the separator (budget shrinks) or it is
@@ -58,20 +58,21 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
     the ones the branch has put into the separator.  Each absorb child
     runs one flow, from `flow`: this node's paths minus those through
     C[:j], each cut to its suffix from its last vertex in the new source
-    set.  The root yields the empty set when its sources are already cut
-    off from the sink.
+    set; a rewired root of `fpt` starts from the seed root's paths cut
+    short at N(sink).  The root yields the empty set when its sources are
+    already cut off.  Return the paths, or [] at value 0 or over budget.
     """
     net = _min_cut(G, sources, sink, removed, flow)
     if net.value == 0:
         out.add(removed)
-        return
-    if net.value > budget:
-        return
+    if not 0 < net.value <= budget:
+        return []
     cut = net.furthest_cut()
     reach = _component(G.adj, sources, removed.union(cut))
     at = {w: m for m, w in enumerate(cut)}
+    paths = net.disjoint_paths()
     # each path meets the cut once: (position in cut, index in path, path)
-    crossings = sorted((at[w], i, p) for p in net.disjoint_paths()
+    crossings = sorted((at[w], i, p) for p in paths
                        for i, w in enumerate(p) if w in at)
     assert len(crossings) == len(cut)
     for j, v in enumerate(cut):
@@ -80,17 +81,21 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
             _candidates(G, reach | {v}, sink, removed.union(cut[:j]),
                         budget - j, out, warm)
     out.add(removed.union(cut))
+    return paths
 
 
-def _important_candidates(G: Graph, term: Terminals, k: int) -> set[Separator]:
-    """The branching's raw candidates as canonical separators: at most 4^k
-    sets, not all of them minimal, that include every important separator
-    of size at most k.  The terminals must be neither adjacent nor equal."""
+def _important_candidates(G: Graph, term: Terminals, k: int,
+                          flow=()) -> tuple[set[Separator], list[list[int]]]:
+    """The branching's raw candidates as canonical separators (at most 4^k
+    sets, not all minimal, including every important separator of size at
+    most k), and the root's paths.  The root starts from `flow`, such as the
+    seed root's paths cut short at N_H(s); the furthest cuts alone decide
+    the candidates.  The terminals must be neither adjacent nor equal."""
     if k < 1:
         raise SepenumError(f"k must be at least 1, got {k}")
     raw: set[frozenset] = set()
-    _candidates(G, {term.t}, term.s, frozenset(), k, raw)
-    return {canonical(members) for members in raw}
+    paths = _candidates(G, {term.t}, term.s, frozenset(), k, raw, flow)
+    return {canonical(members) for members in raw}, paths
 
 
 def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
@@ -102,7 +107,7 @@ def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     """
     _require_separable(G, term)
     found = []
-    for cand in _important_candidates(G, term, k):
+    for cand in _important_candidates(G, term, k)[0]:
         assert len(cand) <= k
         if is_important(G, term, cand):
             found.append(cand)

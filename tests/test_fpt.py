@@ -1,7 +1,7 @@
 import pytest
 
 import sepenum as sp
-from sepenum import fpt, important
+from sepenum import fpt, important, mincut
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Terminals, parse_graph
 from sepenum.mincut import flow_call_count
@@ -120,10 +120,10 @@ def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
                 seen.add(T)
         return result
 
-    def counted_candidates(H, term_, k):
-        found = candidates(H, term_, k)
+    def counted_candidates(H, term_, k, flow=()):
+        found, paths = candidates(H, term_, k, flow)
         offered.extend(found)
-        return found
+        return found, paths
 
     def refuse(*args):
         raise AssertionError("list-minimal runs no importance test")
@@ -137,3 +137,66 @@ def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     assert popped in ([], emitted)  # asserts run unless python -O
     # most candidates of the rewired graphs were seen before and not tested
     assert 0 < len(tested) < len(offered) / 2
+
+
+def _is_flow_of(H, term, paths) -> bool:
+    """Whether `paths` are t-to-s paths of H with pairwise disjoint
+    interiors that avoid both terminals."""
+    inner = [w for p in paths for w in p[1:-1]]
+    return (all(p[0] == term.t and p[-1] == term.s for p in paths)
+            and all(w in H.adj[u] for p in paths for u, w in zip(p, p[1:]))
+            and len(inner) == len(set(inner))
+            and not {term.s, term.t} & set(inner))
+
+
+def test_warm_rewired_branchings_give_the_cold_candidates():
+    # every rewired H of list-minimal: the seed root's paths cut short at
+    # N_H(s) are a flow of H, and the branching started from them finds
+    # exactly the candidates of a cold one
+    cases = [band(3, 8), band(4, 6)]
+    for seed in range(18):
+        g = random_connected_graph(8 + seed % 9, (0.2, 0.3, 0.45)[seed % 3], 1600 + seed)
+        cases += [(g, term) for term in nonadjacent_pairs(g)][::7]
+    rewired = 0
+    for g, term in cases:
+        for k in range(1, 5):
+            paths = important._important_candidates(g, term, k)[1]
+            for S in fpt.iter_small_minimal(g, term, k):
+                for v in S:
+                    if term.t in g.adj[v]:
+                        continue
+                    h = sp.add_star(g, term.s, (set(S) | g.adj[v]) - {term.s})
+                    warm = fpt._cut_short(paths, h.adj[term.s], term.s)
+                    assert len(warm) == len(paths) and _is_flow_of(h, term, warm)
+                    got, got_paths = important._important_candidates(h, term, k, flow=warm)
+                    cold, cold_paths = important._important_candidates(h, term, k)
+                    assert got == cold and len(got_paths) == len(cold_paths)
+                    assert _is_flow_of(h, term, got_paths)
+                    rewired += 1
+    assert rewired > 1500
+
+
+def test_rewired_branchings_start_from_the_seed_flow(monkeypatch):
+    g, term = band(3, 30)
+    searches, rewired, cold = [0], [0], []
+    init, search = mincut.FlowNetwork.__init__, mincut.FlowNetwork._search
+
+    def recording_init(self, G, sources, sink, removed=(), flow=()):
+        if G is not g:
+            rewired[0] += 1
+            if not flow:
+                cold.append(sorted(sources))
+        init(self, G, sources, sink, removed, flow)
+
+    def counted_search(self):
+        searches[0] += 1
+        return search(self)
+
+    monkeypatch.setattr(mincut.FlowNetwork, "__init__", recording_init)
+    monkeypatch.setattr(mincut.FlowNetwork, "_search", counted_search)
+    before = flow_call_count()
+    assert len(list(fpt.iter_small_minimal(g, term, 3))) == 260
+    flows = flow_call_count() - before
+    assert rewired[0] > 0 and cold == []
+    # a cold root pays one search per path plus the failed one
+    assert searches[0] <= 1.25 * flows

@@ -146,7 +146,7 @@ def test_branching_gives_the_two_way_recursions_candidates():
                 raw: set[frozenset] = set()
                 _two_way_candidates(g, frozenset((term.t,)), term.s, frozenset(), k,
                                     frozenset(), raw)
-                assert _important_candidates(g, term, k) == {canonical(X) for X in raw}
+                assert _important_candidates(g, term, k)[0] == {canonical(X) for X in raw}
                 cases += 1
     assert cases > 5000
 
