@@ -7,10 +7,8 @@ is G, and after S is emitted H is G with s joined to S and to N(v), for
 each v of S not next to t.  Such a separator of G avoids S's s-side and
 v, so its key is strictly larger than S's; the important ones make the
 stream complete, and a seen-set makes each separator appear once.
-Each rewired branching starts its root flow from the seed root's paths
-cut short at their first vertex w in N_H(s), as [t, ..., w, s].  H holds
-G and each path's last inner vertex is next to s, so these prefixes are
-disjoint paths of H and give a cold start's value, cuts and candidates.
+Each rewired branching starts its root flow from the seed root's paths,
+which are a flow of H since H contains G (see `FlowNetwork`'s warm start).
 """
 
 from heapq import heappop, heappush
@@ -20,10 +18,10 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
-    _component,
     _require_separable,
     add_star,
     canonical,
+    component_of,
     is_minimal_separator,
 )
 from .important import _important_candidates
@@ -37,12 +35,7 @@ def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
     the original graph, even for separators discovered in rewired ones.
     """
     members = canonical(S)
-    return (len(_component(G.adj, (s,), set(members))), members)
-
-
-def _cut_short(paths: list[list[int]], near, s: int) -> list[list[int]]:
-    """Each path to s cut short at its first vertex w in `near`: [..., w, s]."""
-    return [p[:next(i for i, w in enumerate(p) if w in near) + 1] + [s] for p in paths]
+    return (len(component_of(G, members, s)), members)
 
 
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
@@ -71,7 +64,7 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
             yield S
             rewired = (add_star(G, term.s, (set(S) | G.adj[v]) - {term.s})
                        for v in S if term.t not in G.adj[v])
-            branched = ((H, _important_candidates(H, term, k, _cut_short(
-                paths, H.adj[term.s], term.s))[0]) for H in rewired)
+            branched = ((H, _important_candidates(H, term, k, paths)[0])
+                        for H in rewired)
 
     return generate()

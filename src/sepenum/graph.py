@@ -178,11 +178,11 @@ def _require_ids(G: Graph, vertices: Iterable[int]) -> None:
             raise SepenumError(f"vertex id {v} out of range for n={G.n}")
 
 
-def _check_avoids_terminals(G: Graph, term: Terminals, members: Separator) -> None:
-    _require_ids(G, (*term, *members))
-    if term.s in members or term.t in members:
+def _check_avoids_terminals(G: Graph, terminals: tuple[int, ...], members) -> None:
+    _require_ids(G, (*terminals, *members))
+    if not set(terminals).isdisjoint(members):
         raise SepenumError(f"set {_names(G, members)} contains a terminal of "
-                           f"{G.labels[term.s]},{G.labels[term.t]}")
+                           f"{','.join(G.labels[v] for v in terminals)}")
 
 
 def _component(adj, start: Iterable[int], blocked: AbstractSet[int]) -> set[int]:

@@ -56,11 +56,10 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
     sources reach + {C[j]}, C[:j] removed, budget - j, and the chain of
     joins ends in the leaf removed + C: the removed vertices are exactly
     the ones the branch has put into the separator.  Each absorb child
-    runs one flow, from `flow`: this node's paths minus those through
-    C[:j], each cut to its suffix from its last vertex in the new source
-    set; a rewired root of `fpt` starts from the seed root's paths cut
-    short at N(sink).  The root yields the empty set when its sources are
-    already cut off.  Return the paths, or [] at value 0 or over budget.
+    runs one flow, started from this node's paths by `FlowNetwork`'s
+    warm-start rule.  The root starts from `flow` and yields the empty set
+    when its sources are already cut off.  Return the paths, or [] at
+    value 0 or over budget.
     """
     net = _min_cut(G, sources, sink, removed, flow)
     if net.value == 0:
@@ -69,17 +68,11 @@ def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
         return []
     cut = net.furthest_cut()
     reach = _component(G.adj, sources, removed.union(cut))
-    at = {w: m for m, w in enumerate(cut)}
     paths = net.disjoint_paths()
-    # each path meets the cut once: (position in cut, index in path, path)
-    crossings = sorted((at[w], i, p) for p in paths
-                       for i, w in enumerate(p) if w in at)
-    assert len(crossings) == len(cut)
     for j, v in enumerate(cut):
         if sink not in G.adj[v]:  # reach itself is never next to the sink
-            warm = [p[i - (m > j):] for m, i, p in crossings[j:]]
             _candidates(G, reach | {v}, sink, removed.union(cut[:j]),
-                        budget - j, out, warm)
+                        budget - j, out, paths)
     out.add(removed.union(cut))
     return paths
 
@@ -89,8 +82,8 @@ def _important_candidates(G: Graph, term: Terminals, k: int,
     """The branching's raw candidates as canonical separators (at most 4^k
     sets, not all minimal, including every important separator of size at
     most k), and the root's paths.  The root starts from `flow`, such as the
-    seed root's paths cut short at N_H(s); the furthest cuts alone decide
-    the candidates.  The terminals must be neither adjacent nor equal."""
+    seed root's paths; the furthest cuts alone decide the candidates.  The
+    terminals must be neither adjacent nor equal."""
     if k < 1:
         raise SepenumError(f"k must be at least 1, got {k}")
     raw: set[frozenset] = set()

@@ -49,6 +49,7 @@ from .graph import (
     Terminals,
     _check_avoids_terminals,
     _require_apart,
+    _require_ids,
     canonical,
     saturate,
 )
@@ -95,18 +96,19 @@ class FlowNetwork:
     Vertices in `removed` are absent from the graph entirely.  Raises
     TerminalsAdjacent if a source is the sink or adjacent to it.
 
-    `flow` is an optional starting flow: source-to-sink edge paths of G,
-    each from one of the sources, that avoid the removed vertices and are
-    internally vertex-disjoint, such as a subset of another network's
-    `disjoint_paths()` on a subgraph.  max_flow then only augments from
-    there; the value and both cuts are the same as from zero, since every
-    maximum flow leaves the same vertices residual-reachable.
+    `flow` is an optional starting flow, such as a parent's paths, passed
+    unchanged.  The one warm-start rule drops each path through a removed
+    vertex and starts each other one at its last leading source; the rest
+    must be a flow of G that meets no further source.  max_flow then only
+    augments, to a cold start's value and cuts, since every maximum flow
+    leaves the same vertices residual-reachable.
     """
 
     def __init__(self, G: Graph, sources, sink: int, removed=(), flow=()):
-        self.adj = G.adj
+        self.G, self.adj = G, G.adj
         self.sink = sink
         removed = set(removed)
+        _require_ids(G, removed)
         source_set = set(sources) - removed
         _require_apart(G, source_set, sink)
         blocked = self._blocked = source_set | removed
@@ -127,7 +129,13 @@ class FlowNetwork:
         self._seeds = [2 * s + 1 for s in self.sources if not self.adj[s] <= blocked]
         self.value = 0
         self._ran = False
-        for path in flow:  # link every inner vertex to its path neighbours
+        for path in flow:  # the warm-start rule, then link the inner vertices
+            if not removed.isdisjoint(path):
+                continue
+            i = 1  # path[i - 1] is the last leading source
+            while path[i] in source_set:
+                i += 1
+            path = path[i - 1:] if i > 1 else path
             assert path[0] in source_set and path[-1] == sink
             for u, w, x in zip(path, path[1:-1], path[2:]):
                 assert w not in blocked and pred[w] < 0 and w in self.adj[u]
@@ -280,6 +288,8 @@ class FlowNetwork:
         it marks as the states of an unmoving other side.
         """
         assert self._ran
+        _check_avoids_terminals(self.G, (*self.sources, self.sink), include)
+        _require_ids(self.G, excluded)
         side = _Side(self._unseen(), self.pred)
         side.start([*self._seeds, *(2 * i for i in include)])
         infeasible = [-2] * len(side.seen)  # in the swapped coordinates

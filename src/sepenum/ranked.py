@@ -16,10 +16,9 @@ C of G[U] next to v, so saturate(H, {v}) makes N_G of v's component in
 G[U + {v}] a clique, and equals saturate(G, U + {v}).
 
 Besides its two sets, a queued cell keeps only the disjoint paths of its
-maximum flow, and a child's flow starts from those that avoid its
-include-set: the child's graph only gains edges, and each path crosses
-S minus the parent's include-set once, so the child needs one augmenting
-search per path it lacks, plus the last, failed one.
+maximum flow.  A child's flow starts from them (see `FlowNetwork`), as its
+graph only gains edges, so it needs one augmenting search per path it
+lacks, plus the last, failed one.
 
 The ranked stream is sound (every emission separates the original graph),
 duplicate-free, non-decreasing in size, and emits every *minimal*
@@ -89,9 +88,7 @@ def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
         H = saturate(G, excluded)
         if H.has_edge(term.s, term.t):
             return None
-        # the parent's flow minus its paths through include is feasible in H
-        warm = [p for p in paths if include.isdisjoint(p)]
-        net = _min_cut(H, (term.s,), term.t, removed=include, flow=warm)
+        net = _min_cut(H, (term.s,), term.t, removed=include, flow=paths)
         # include is a proper subset of S, the minimum of the parent's cell,
         # so it cannot separate s from t there, nor in H, which has more edges
         assert net.value > 0, "the include-set alone separates s from t"

@@ -53,6 +53,14 @@ def test_pop_key_examples():
     assert sp.pop_key(P4.graph, 0, (2,)) == (2, (2,))
 
 
+def test_pop_key_range_checks_its_arguments():
+    for s, S in ((-1, (1,)), (9, (1,)), (0, (-1,)), (0, (1, 4))):
+        with pytest.raises(SepenumError, match="out of range"):
+            sp.pop_key(P4.graph, s, S)
+    with pytest.raises(SepenumError, match="'s' is removed"):
+        sp.pop_key(P4.graph, 0, (0, 2))
+
+
 def test_matches_brute_force_each_exactly_once():
     for seed in range(30):
         n = 5 + seed % 6
@@ -150,9 +158,9 @@ def _is_flow_of(H, term, paths) -> bool:
 
 
 def test_warm_rewired_branchings_give_the_cold_candidates():
-    # every rewired H of list-minimal: the seed root's paths cut short at
-    # N_H(s) are a flow of H, and the branching started from them finds
-    # exactly the candidates of a cold one
+    # every rewired H of list-minimal: the seed root's paths, unchanged,
+    # are a flow of H, and the branching started from them finds exactly
+    # the candidates of a cold one
     cases = [band(3, 8), band(4, 6)]
     for seed in range(18):
         g = random_connected_graph(8 + seed % 9, (0.2, 0.3, 0.45)[seed % 3], 1600 + seed)
@@ -166,9 +174,9 @@ def test_warm_rewired_branchings_give_the_cold_candidates():
                     if term.t in g.adj[v]:
                         continue
                     h = sp.add_star(g, term.s, (set(S) | g.adj[v]) - {term.s})
-                    warm = fpt._cut_short(paths, h.adj[term.s], term.s)
-                    assert len(warm) == len(paths) and _is_flow_of(h, term, warm)
-                    got, got_paths = important._important_candidates(h, term, k, flow=warm)
+                    net = mincut.FlowNetwork(h, (term.t,), term.s, flow=paths)
+                    assert net.value == len(paths) and _is_flow_of(h, term, paths)
+                    got, got_paths = important._important_candidates(h, term, k, flow=paths)
                     cold, cold_paths = important._important_candidates(h, term, k)
                     assert got == cold and len(got_paths) == len(cold_paths)
                     assert _is_flow_of(h, term, got_paths)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepenum as sp
-from sepenum.errors import AlreadySeparated, TerminalsAdjacent
+from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, parse_graph
 from sepenum.mincut import FlowNetwork, flow_call_count
 
@@ -79,6 +79,22 @@ def test_flow_network_rejects_a_sink_in_the_sources_closed_neighbourhood():
         FlowNetwork(g, (3, 2), 2)
     # a removed source is no source: without c, {s} and t are apart
     assert FlowNetwork(g, (0, 4), 2, removed=(4,)).max_flow() == 1
+
+
+def test_flow_network_range_checks_its_vertex_arguments():
+    g = parse_graph("s a\na b\nb t\ns c\nc t")  # s=0, a=1, b=2, t=3, c=4
+    net = FlowNetwork(g, (0,), 3)
+    assert net.max_flow() == 2
+    for include, excluded in (((-1,), ()), ((5,), ()), ((), (-1,)), ((), (9,))):
+        with pytest.raises(SepenumError, match="out of range"):
+            net.closest_cut_with(include, excluded)
+    for include in ((0,), (3,), (1, 0)):
+        with pytest.raises(SepenumError, match="contains a terminal"):
+            net.closest_cut_with(include)
+    assert net.closest_cut_with((2,)) == (2, 4)
+    for removed in ((-1,), (9,)):
+        with pytest.raises(SepenumError, match="out of range"):
+            FlowNetwork(P4.graph, (0,), 3, removed=removed)
 
 
 def test_both_cut_sides_are_minimal_and_minimum():
@@ -294,12 +310,16 @@ def test_a_backward_side_that_dies_first_still_meets_a_source():
     assert net.disjoint_paths() == [[4, 1, 5]]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_flow_network_from_part_of_a_max_flow(data):
-    # Start from some of the paths of a cold maximum flow, in the same graph
-    # or in one with extra edges and extra removed vertices, dropping the
-    # paths through those: the value and both cuts are the cold start's.
+    # Start from some of the paths of a cold maximum flow, passed unfiltered,
+    # in the same graph or in one with extra edges, extra removed vertices
+    # and more sources: the source side A of a minimum cut C, plus some of C.
+    # Every path runs through A up to its one vertex of C and never returns,
+    # so the network drops the paths through removed vertices, starts each
+    # other one at its last leading source, and ends at the cold start's
+    # value and cuts.
     n = data.draw(st.integers(3, 12), label="n")
     p = data.draw(st.sampled_from((0.15, 0.3, 0.5)), label="p")
     g = random_graph(n, p, data.draw(st.integers(0, 10_000), label="seed"))
@@ -311,19 +331,30 @@ def test_flow_network_from_part_of_a_max_flow(data):
     base = FlowNetwork(g, sources, sink)
     base.max_flow()
     paths = base.disjoint_paths()
-    kept = data.draw(st.sets(st.sampled_from(range(len(paths))))
+    kept = data.draw(st.sets(st.sampled_from(range(len(paths))), min_size=1)
                      if paths else st.just(set()), label="kept")
-    inner = [v for v in range(n) if v != sink and v not in sources]
+    grown = set(sources)
+    side = data.draw(st.sampled_from(("furthest", "closest", "none")), label="side")
+    if side != "none":
+        cut = base.closest_cut() if side == "closest" else base.furthest_cut()
+        for s in sources:
+            grown |= sp.component_of(g, cut, s)
+        near = [v for v in cut if v not in g.adj[sink]]
+        grown |= data.draw(st.sets(st.sampled_from(near), min_size=1) if near
+                           else st.just(set()), label="cut sources")
+    inner = [v for v in range(n) if v != sink and v not in grown]
     removed = data.draw(st.sets(st.sampled_from(inner)) if inner else st.just(set()),
                         label="removed")
     pairs = list(itertools.combinations(range(n), 2))
     extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4), label="edges")
     h = Graph(n, [*g.edges(), *extra], g.labels)
-    if not h.adj[sink].isdisjoint(sources):
+    if not h.adj[sink].isdisjoint(grown):
         return
-    start = [paths[i] for i in sorted(kept) if removed.isdisjoint(paths[i])]
-    warm = _check_flow(h, sources, sink, removed, start)
-    cold = FlowNetwork(h, sources, sink, removed)
+    start = [paths[i] for i in sorted(kept)]
+    assert FlowNetwork(h, grown, sink, removed, start).value == sum(
+        removed.isdisjoint(path) for path in start)
+    warm = _check_flow(h, grown, sink, removed, start)
+    cold = FlowNetwork(h, grown, sink, removed)
     assert warm.value == cold.max_flow()
     assert warm.closest_cut() == cold.closest_cut()
     assert warm.furthest_cut() == cold.furthest_cut()

@@ -121,16 +121,16 @@ def test_minimum_stream_runs_one_flow_and_no_rewrites(monkeypatch):
 
 def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
     # The children of an emitted S are built while the stream computes its
-    # next item.  Child i removes include_i and starts from the parent's
-    # paths that avoid it: each path crosses S - include in one vertex.
-    # The minimum-only stream builds no child flows at all.
+    # next item.  Child i removes include_i and is handed all the parent's
+    # paths; the network keeps those that avoid include_i, and each path
+    # crosses S - include in one vertex.  The minimum-only stream builds no
+    # child flows at all.
     starts = []
     build = FlowNetwork.__init__
 
     def spy(self, G, sources, sink, removed=(), flow=()):
-        flow = list(flow)
-        starts.append((len(set(removed)), len(flow)))
         build(self, G, sources, sink, removed, flow)
+        starts.append((len(set(removed)), self.value))
 
     monkeypatch.setattr(FlowNetwork, "__init__", spy)
     cases = [(*band(3, 30), 200)]
