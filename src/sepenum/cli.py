@@ -30,7 +30,7 @@ from .graph import (
     is_separator,
     parse_graph,
 )
-from .important import enumerate_important, is_important
+from .important import _iter_important, is_important
 from .mincut import kappa
 from .oracle import brute_chordless_paths_through
 from .ranked import iter_minimum_separators, iter_ranked_separators
@@ -141,8 +141,7 @@ def _run(args) -> int:
         return _stream(G, iter_minimum_separators(G, term), None, args.json)
 
     if args.command == "important":
-        return _stream(G, enumerate_important(G, term, args.bound),
-                       None, args.json)
+        return _stream(G, _iter_important(G, term, args.bound), None, args.json)
 
     if args.command == "check":
         members = canonical(G.vertex(lab) for lab in args.members.split(","))

@@ -10,11 +10,25 @@ exactly when S is the minimum (R, s)-cut whose R-side is inclusion-maximal.
 That duality drives both the one-flow test and the branching below.
 
 The branching runs from t toward s over the furthest minimum cut C of
-each node.  The children where members of C join the separator inherit
-C minus those members as their cut and run no flow; only the root and
-the children that absorb a member of C into the source side run one,
-each started from its parent's paths.
+each node (Marx, TCS 2006).  A node with removed set R and flow value
+lambda has the candidate R + C, of size |R| + lambda.  The children where
+members of C join the separator inherit C minus those members as their
+cut and run no flow; only the root and the children that absorb a member
+of C into the source side run one, each started from its parent's paths.
+The j-th absorb child has value at least lambda - j + 1: a cut D of it of
+size at most lambda - j would make D + C[:j] a minimum cut of the node
+with C[j] on its source side, and C is the furthest minimum cut.  So a
+node whose value is its budget runs no child flow, since every absorb
+child is over budget, and every child's candidates are larger than its
+parent's.  The branching is best-first, smallest bound first, and once
+the smallest queued bound passes j the candidates of size j are final:
+the CLI's `important` streams them size by size, and
+`enumerate_important` lists them all.
 """
+
+from heapq import heappop, heappush
+from itertools import count
+from typing import Iterator
 
 from .errors import SepenumError
 from .graph import (
@@ -26,7 +40,7 @@ from .graph import (
     _require_separable,
     canonical,
 )
-from .mincut import _min_cut
+from .mincut import FlowNetwork, _min_cut
 
 
 def is_important(G: Graph, term: Terminals, X) -> bool:
@@ -43,38 +57,61 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
     return term.s not in R and _min_cut(G, R, term.s).furthest_cut() == members
 
 
-def _candidates(G: Graph, sources: set, sink: int, removed: frozenset,
-                budget: int, out: set[frozenset], flow=()) -> list[list[int]]:
-    """Two-way branching over the vertices of the furthest minimum cut C.
+def _levels(G: Graph, sink: int, k: int,
+            root: FlowNetwork) -> Iterator[set[frozenset]]:
+    """The branching's raw candidates of size 0, 1, ..., k, one set each,
+    best first from the root, whose flow has run.
 
-    Either a vertex of C joins the separator (budget shrinks) or it is
-    absorbed into the source side (the cut must then move), for C[0],
-    C[1], ... in turn.  Joining needs no flow: with v of C removed the
-    value is one less and the furthest cut is C - {v}, since a cut D of
-    G - v gives the cut D + {v} of G with the same source side, and C's
-    source side holds every minimum cut's.  So the j-th absorb child has
-    sources reach + {C[j]}, C[:j] removed, budget - j, and the chain of
-    joins ends in the leaf removed + C: the removed vertices are exactly
-    the ones the branch has put into the separator.  Each absorb child
-    runs one flow, started from this node's paths by `FlowNetwork`'s
-    warm-start rule.  The root starts from `flow` and yields the empty set
-    when its sources are already cut off.  Return the paths, or [] at
-    value 0 or over budget.
+    Joining needs no flow: with v of C removed the value is one less and
+    the furthest cut is C - {v}, since a cut D of G - v gives the cut
+    D + {v} of G with the same source side, and C's source side holds
+    every minimum cut's.  So the joins end in the candidate removed + C,
+    and the j-th absorb child is queued as (bound, tie, the node's source
+    side `above`, C, j, removed + C[:j], budget - j, the node's paths),
+    with sources above + {C[j]}.  N(above) lies in removed + C, so the
+    child's source side is `above` plus what C reaches around `above`,
+    the child's cut and its removed set; the root's `above` is empty and
+    its C is its sources.  The empty set is a candidate only of a root
+    whose sources are already cut off.
     """
-    net = _min_cut(G, sources, sink, removed, flow)
-    if net.value == 0:
-        out.add(removed)
-    if not 0 < net.value <= budget:
-        return []
-    cut = net.furthest_cut()
-    reach = _component(G.adj, sources, removed.union(cut))
-    paths = net.disjoint_paths()
-    for j, v in enumerate(cut):
-        if sink not in G.adj[v]:  # reach itself is never next to the sink
-            _candidates(G, reach | {v}, sink, removed.union(cut[:j]),
-                        budget - j, out, paths)
-    out.add(removed.union(cut))
-    return paths
+    levels: list[set[frozenset]] = [set() for _ in range(k + 1)]
+    heap: list = []
+    tie = count()
+    net, above, cut = root, frozenset(), tuple(root.sources)
+    removed, budget, done = frozenset(), k, 0
+    while True:
+        if net.value == 0:
+            levels[0].add(removed)
+        elif net.value <= budget:
+            start, cut = cut, net.furthest_cut()
+            size = len(removed) + net.value
+            levels[size].add(removed.union(cut))
+            if net.value < budget:  # else every absorb child is over budget
+                reach = above | _component(G.adj, start, above.union(removed, cut))
+                paths = net.disjoint_paths()
+                for j, v in enumerate(cut):
+                    if sink not in G.adj[v]:  # reach itself is never next to the sink
+                        heappush(heap, (size + 1, next(tie), reach, cut, j,
+                                        removed.union(cut[:j]), budget - j, paths))
+        bound = heap[0][0] if heap else k + 1
+        while done < bound:
+            yield levels[done]
+            done += 1
+        if not heap:
+            return
+        _, _, above, cut, j, removed, budget, paths = heappop(heap)
+        net = _min_cut(G, above | {cut[j]}, sink, removed, paths)
+
+
+def _branching(G: Graph, term: Terminals, k: int,
+               flow=()) -> tuple[FlowNetwork, Iterator[set[frozenset]]]:
+    """Run the root flow, from t to s and started from `flow`, now; return
+    it and `_levels` over the rest.  The terminals must be neither
+    adjacent nor equal."""
+    if k < 1:
+        raise SepenumError(f"k must be at least 1, got {k}")
+    root = _min_cut(G, (term.t,), term.s, (), flow)
+    return root, _levels(G, term.s, k, root)
 
 
 def _important_candidates(G: Graph, term: Terminals, k: int,
@@ -82,27 +119,35 @@ def _important_candidates(G: Graph, term: Terminals, k: int,
     """The branching's raw candidates as canonical separators (at most 4^k
     sets, not all minimal, including every important separator of size at
     most k), and the root's paths.  The root starts from `flow`, such as the
-    seed root's paths; the furthest cuts alone decide the candidates.  The
-    terminals must be neither adjacent nor equal."""
-    if k < 1:
-        raise SepenumError(f"k must be at least 1, got {k}")
-    raw: set[frozenset] = set()
-    paths = _candidates(G, {term.t}, term.s, frozenset(), k, raw, flow)
-    return {canonical(members) for members in raw}, paths
+    seed root's paths; the furthest cuts alone decide the candidates."""
+    root, levels = _branching(G, term, k, flow)
+    found = {canonical(members) for level in levels for members in level}
+    return found, root.disjoint_paths()
+
+
+def _iter_important(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
+    """Yield the important s,t-separators of size at most k by (size,
+    members).  Once the branching has finished a size, its candidates are
+    sorted and tested one by one, so each is yielded after its own test.
+    Bad input raises here, and the root flow runs here, not at the first
+    pull."""
+    _require_separable(G, term)
+    levels = _branching(G, term, k)[1]
+
+    def generate():
+        for level in levels:
+            for X in sorted(map(canonical, level)):
+                if is_important(G, term, X):
+                    yield X
+
+    return generate()
 
 
 def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     """All important s,t-separators of size at most k, by (size, members).
 
-    The branching (one flow at the root and one per absorb step, each warm
-    from its parent's paths) gives at most 4^k candidates, and
-    `is_important` keeps the important ones.
+    The branching (one flow at the root and one per absorb child of a
+    node below its budget, each warm from its parent's paths) gives at
+    most 4^k candidates, and `is_important` keeps the important ones.
     """
-    _require_separable(G, term)
-    found = []
-    for cand in _important_candidates(G, term, k)[0]:
-        assert len(cand) <= k
-        if is_important(G, term, cand):
-            found.append(cand)
-    found.sort(key=lambda sep: (len(sep), sep))
-    return found
+    return list(_iter_important(G, term, k))

@@ -1,14 +1,17 @@
+import io
 import itertools
+import sys
 import tracemalloc
 
 import pytest
 
 import sepenum as sp
 from sepenum import mincut
+from sepenum.cli import main
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, _component, canonical, parse_graph
-from sepenum.important import _important_candidates
-from sepenum.mincut import _min_cut
+from sepenum.important import _important_candidates, _iter_important
+from sepenum.mincut import _min_cut, flow_call_count
 
 from conftest import (
     DIAMOND,
@@ -74,6 +77,7 @@ def test_enumerate_important_matches_brute_everywhere():
             for k in range(1, n + 1):
                 got = sp.enumerate_important(g, term, k)
                 assert set(got) == sp.brute_important(g, term, k)
+                assert list(_iter_important(g, term, k)) == got
                 assert len(got) <= 4 ** k
                 assert got == sorted(got, key=lambda s: (len(s), s))
                 for X in got:
@@ -166,7 +170,7 @@ def test_every_absorb_branch_starts_from_its_parents_paths(monkeypatch):
         g = random_connected_graph(8 + seed % 5, 0.35, 1400 + seed)
         cases += [(g, term) for term in nonadjacent_pairs(g)]
     for g, term in cases:
-        for k in range(1, 5):
+        for k in range(1, 6):
             starts.clear()
             _important_candidates(g, term, k)
             assert starts[0] == 0  # the root starts cold
@@ -174,3 +178,93 @@ def test_every_absorb_branch_starts_from_its_parents_paths(monkeypatch):
             children += len(starts) - 1
     assert children > 300
 
+
+def _check_absorb_children(G: Graph, sources, sink: int, removed: frozenset,
+                           cap: int) -> int:
+    """Run every absorb child of the branching's nodes whose candidate has
+    at most cap vertices, and assert that the j-th child of a node with
+    value lam has value at least lam - j + 1; return how many ran."""
+    net = _min_cut(G, sources, sink, removed)
+    lam = net.value
+    if not 0 < lam <= cap - len(removed):
+        return 0
+    cut = net.furthest_cut()
+    reach = _component(G.adj, sources, removed.union(cut))
+    checked = 0
+    for j, v in enumerate(cut):
+        if sink in G.adj[v]:
+            continue
+        child = reach | {v}, sink, removed.union(cut[:j])
+        assert _min_cut(G, *child).value >= lam - j + 1
+        checked += 1 + _check_absorb_children(G, *child, cap)
+    return checked
+
+
+def test_absorb_children_of_a_node_at_its_budget_are_over_budget():
+    # The lemma behind the prune and the best-first order of the branching.
+    # At k = |removed| + lam a node's budget is lam, so these are the flows
+    # the prune skips: the j-th child's budget, lam - j, is below its value.
+    checked = 0
+    for seed in range(80):
+        n = 8 + seed % 9
+        g = random_graph(n, (0.15, 0.25, 0.35)[seed % 3], 1700 + seed)
+        for term in nonadjacent_pairs(g):
+            checked += _check_absorb_children(g, (term.t,), term.s, frozenset(), 5)
+    assert checked > 1500
+
+
+def _binary_tree(depth: int) -> str:
+    """Edge list of the complete binary tree of the given depth, root n0,
+    with a vertex s joined to every leaf."""
+    size = 2 ** (depth + 1) - 1
+    lines = [f"n{(v - 1) // 2} n{v}" for v in range(1, size)]
+    lines += [f"s n{leaf}" for leaf in range(2 ** depth - 1, size)]
+    return "\n".join(lines) + "\n"
+
+
+class _FlowMarks(io.StringIO):
+    """Standard output that records the flow-call count at every line end."""
+
+    def __init__(self):
+        super().__init__()
+        self.marks: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.marks += [flow_call_count()] * text.count("\n")
+        return super().write(text)
+
+
+def test_important_streams_a_deep_tree_by_size(tmp_path, monkeypatch):
+    path = tmp_path / "tree.edges"
+    path.write_text(_binary_tree(7))
+    out = _FlowMarks()
+    monkeypatch.setattr(sys, "stdout", out)
+    before = flow_call_count()
+    assert main(["important", str(path), "-s", "s", "-t", "n0", "-k", "5"]) == 0
+    sizes = [len(line.split(",")) for line in out.getvalue().splitlines()]
+    assert sizes == sorted(sizes) and len(sizes) == 22
+    gaps = [b - a for a, b in zip([before, *out.marks], out.marks)]
+    assert gaps[0] <= 2  # the root flow and one importance test
+    assert max(gaps) <= 16
+    assert flow_call_count() - before <= 44
+
+
+def test_list_minimal_on_a_band_runs_no_over_budget_flow():
+    g, term = band(3, 30)
+    before = flow_call_count()
+    assert len(list(sp.iter_small_minimal(g, term, 3))) == 260
+    assert flow_call_count() - before <= 767
+
+
+def test_the_important_stream_checks_its_input_when_called():
+    with pytest.raises(TerminalsAdjacent):
+        _iter_important(parse_graph("s t"), Terminals(0, 1), 1)
+    with pytest.raises(AlreadySeparated):
+        _iter_important(parse_graph("s a\nt b"), Terminals(0, 2), 1)
+    with pytest.raises(SepenumError, match="k must be at least 1, got 0"):
+        _iter_important(P4.graph, P4.terminals, 0)
+    g, term = band(3, 8)
+    before = flow_call_count()
+    stream = _iter_important(g, term, 4)
+    assert flow_call_count() - before == 1  # the root flow, and nothing more
+    assert next(stream) == sp.kappa(g, term).separator

@@ -363,7 +363,7 @@ def test_flow_network_from_part_of_a_max_flow(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_removing_a_furthest_cut_vertex_leaves_the_rest_of_the_cut(data):
-    # The lemma behind the flow-free "join" branch of important._candidates:
+    # The lemma behind the flow-free "join" branch of important._levels:
     # for v in the furthest minimum cut C, the network with v removed too has
     # value one less and furthest cut exactly C minus v.
     n = data.draw(st.integers(2, 12), label="n")
