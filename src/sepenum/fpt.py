@@ -42,7 +42,8 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
     """Yield every minimal s,t-separator of size at most k exactly once."""
     _require_separable(G, term)
     # eager, so a bad k raises here and not at the first pull
-    seeds, paths = _important_candidates(G, term, k)
+    seeds, root = _important_candidates(G, term, k)
+    paths = root.disjoint_paths()
 
     def generate():
         queue: list[tuple[int, Separator]] = []

@@ -18,16 +18,14 @@ of C into the source side run one, each started from its parent's paths.
 The j-th absorb child has value at least lambda - j + 1: a cut D of it of
 size at most lambda - j would make D + C[:j] a minimum cut of the node
 with C[j] on its source side, and C is the furthest minimum cut.  So a
-node whose value is its budget runs no child flow, since every absorb
+node whose candidate has size k runs no child flow, since every absorb
 child is over budget, and every child's candidates are larger than its
-parent's.  The branching is best-first, smallest bound first, and once
-the smallest queued bound passes j the candidates of size j are final:
-the CLI's `important` streams them size by size, and
+parent's.  The branching is best-first: it runs the children bucket by
+bucket, by that bound, and once bucket j is done the candidates of size
+j are final: the CLI's `important` streams them size by size, and
 `enumerate_important` lists them all.
 """
 
-from heapq import heappop, heappush
-from itertools import count
 from typing import Iterator
 
 from .errors import SepenumError
@@ -66,41 +64,37 @@ def _levels(G: Graph, sink: int, k: int,
     the furthest cut is C - {v}, since a cut D of G - v gives the cut
     D + {v} of G with the same source side, and C's source side holds
     every minimum cut's.  So the joins end in the candidate removed + C,
-    and the j-th absorb child is queued as (bound, tie, the node's source
-    side `above`, C, j, removed + C[:j], budget - j, the node's paths),
-    with sources above + {C[j]}.  N(above) lies in removed + C, so the
-    child's source side is `above` plus what C reaches around `above`,
-    the child's cut and its removed set; the root's `above` is empty and
-    its C is its sources.  The empty set is a candidate only of a root
-    whose sources are already cut off.
+    and the j-th absorb child is queued as (the node's source side
+    `above`, C, j, removed + C[:j], the node's paths), with sources
+    above + {C[j]}, in the bucket of its bound |removed + C| + 1.
+    N(above) lies in removed + C, so the child's source side is `above`
+    plus what C reaches around `above`, the child's cut and its removed
+    set.  The root, the only entry of bucket 0, has an empty `above`, its
+    sources for C and no paths.  A bucket queues only into later ones, so
+    once bucket b has run in order, the candidates of size b are final.
+    The empty set is a candidate only of a root whose sources are already
+    cut off.
     """
     levels: list[set[frozenset]] = [set() for _ in range(k + 1)]
-    heap: list = []
-    tie = count()
-    net, above, cut = root, frozenset(), tuple(root.sources)
-    removed, budget, done = frozenset(), k, 0
-    while True:
-        if net.value == 0:
-            levels[0].add(removed)
-        elif net.value <= budget:
-            start, cut = cut, net.furthest_cut()
+    queued: list[list] = [[] for _ in range(k + 1)]
+    queued[0].append((frozenset(), tuple(root.sources), 0, frozenset(), ()))
+    for b in range(k + 1):
+        for above, start, j, removed, paths in queued[b]:
+            net = _min_cut(G, above | {start[j]}, sink, removed, paths) if paths else root
             size = len(removed) + net.value
+            if size > k:
+                continue
+            cut = net.furthest_cut()
             levels[size].add(removed.union(cut))
-            if net.value < budget:  # else every absorb child is over budget
+            if size < k:  # else every absorb child is over budget
                 reach = above | _component(G.adj, start, above.union(removed, cut))
                 paths = net.disjoint_paths()
                 for j, v in enumerate(cut):
                     if sink not in G.adj[v]:  # reach itself is never next to the sink
-                        heappush(heap, (size + 1, next(tie), reach, cut, j,
-                                        removed.union(cut[:j]), budget - j, paths))
-        bound = heap[0][0] if heap else k + 1
-        while done < bound:
-            yield levels[done]
-            done += 1
-        if not heap:
-            return
-        _, _, above, cut, j, removed, budget, paths = heappop(heap)
-        net = _min_cut(G, above | {cut[j]}, sink, removed, paths)
+                        queued[size + 1].append(
+                            (reach, cut, j, removed.union(cut[:j]), paths))
+        queued[b].clear()  # release the processed children
+        yield levels[b]
 
 
 def _branching(G: Graph, term: Terminals, k: int,
@@ -110,19 +104,20 @@ def _branching(G: Graph, term: Terminals, k: int,
     adjacent nor equal."""
     if k < 1:
         raise SepenumError(f"k must be at least 1, got {k}")
+    k = min(k, G.n - 2)  # no separator is larger
     root = _min_cut(G, (term.t,), term.s, (), flow)
     return root, _levels(G, term.s, k, root)
 
 
 def _important_candidates(G: Graph, term: Terminals, k: int,
-                          flow=()) -> tuple[set[Separator], list[list[int]]]:
+                          flow=()) -> tuple[set[Separator], FlowNetwork]:
     """The branching's raw candidates as canonical separators (at most 4^k
     sets, not all minimal, including every important separator of size at
-    most k), and the root's paths.  The root starts from `flow`, such as the
-    seed root's paths; the furthest cuts alone decide the candidates."""
+    most k), and the root's network.  The root starts from `flow`, such as
+    the seed root's paths; the furthest cuts alone decide the candidates."""
     root, levels = _branching(G, term, k, flow)
     found = {canonical(members) for level in levels for members in level}
-    return found, root.disjoint_paths()
+    return found, root
 
 
 def _iter_important(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
@@ -147,7 +142,7 @@ def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     """All important s,t-separators of size at most k, by (size, members).
 
     The branching (one flow at the root and one per absorb child of a
-    node below its budget, each warm from its parent's paths) gives at
-    most 4^k candidates, and `is_important` keeps the important ones.
+    node whose candidate is smaller than k, each warm from its parent's
+    paths) gives at most 4^k candidates, and `is_important` keeps the important ones.
     """
     return list(_iter_important(G, term, k))

@@ -42,7 +42,7 @@ bounds can be checked externally.
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import AlreadySeparated
+from .errors import AlreadySeparated, SepenumError
 from .graph import (
     Graph,
     Separator,
@@ -93,8 +93,8 @@ class FlowNetwork:
     """Flow state for one (source-set, sink) cut computation.
 
     Scratch structure: create, run max_flow once, then query cuts/paths.
-    Vertices in `removed` are absent from the graph entirely.  Raises
-    TerminalsAdjacent if a source is the sink or adjacent to it.
+    Vertices in `removed`, never the sink, are absent from the graph.
+    Raises TerminalsAdjacent if a source is the sink or adjacent to it.
 
     `flow` is an optional starting flow, such as a parent's paths, passed
     unchanged.  The one warm-start rule drops each path through a removed
@@ -109,6 +109,8 @@ class FlowNetwork:
         self.sink = sink
         removed = set(removed)
         _require_ids(G, removed)
+        if sink in removed:
+            raise SepenumError(f"vertex {G.labels[sink]!r} is removed")
         source_set = set(sources) - removed
         _require_apart(G, source_set, sink)
         blocked = self._blocked = source_set | removed

@@ -36,7 +36,6 @@ size-κ prefix of the ranked stream in the same order.
 """
 
 from heapq import heappop, heappush
-from itertools import count as _counter
 from typing import Iterator
 
 from .graph import (
@@ -62,12 +61,12 @@ def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
 
 def _lawler(G: Graph, term: Terminals, first, answer) -> Iterator[Separator]:
     """The queue loop.  `first` is the root's (minimum, kept); a child's is
-    answer(its parent's kept, include, excluded), or None if it is empty."""
-    tick = _counter()
+    answer(its parent's kept, include, excluded), or None if it is empty.
+    The cells partition the separators, so no two share a key (|S|, S)."""
     S, kept = first
-    queue = [((len(S), S), next(tick), frozenset(), frozenset(), kept)]
+    queue = [((len(S), S), frozenset(), frozenset(), kept)]
     while queue:
-        (_, S), _, include, excluded, kept = heappop(queue)
+        (_, S), include, excluded, kept = heappop(queue)
         yield S
         for v, include_i in _split(S, include):
             excluded_v = excluded | {v}
@@ -77,7 +76,7 @@ def _lawler(G: Graph, term: Terminals, first, answer) -> Iterator[Separator]:
             T, kept_i = child
             assert is_separator(G, term, T)
             assert include_i <= set(T) and not excluded_v & set(T)
-            heappush(queue, ((len(T), T), next(tick), include_i, excluded_v, kept_i))
+            heappush(queue, ((len(T), T), include_i, excluded_v, kept_i))
 
 
 def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:

@@ -168,7 +168,7 @@ def test_warm_rewired_branchings_give_the_cold_candidates():
     rewired = 0
     for g, term in cases:
         for k in range(1, 5):
-            paths = important._important_candidates(g, term, k)[1]
+            paths = important._important_candidates(g, term, k)[1].disjoint_paths()
             for S in fpt.iter_small_minimal(g, term, k):
                 for v in S:
                     if term.t in g.adj[v]:
@@ -176,10 +176,10 @@ def test_warm_rewired_branchings_give_the_cold_candidates():
                     h = sp.add_star(g, term.s, (set(S) | g.adj[v]) - {term.s})
                     net = mincut.FlowNetwork(h, (term.t,), term.s, flow=paths)
                     assert net.value == len(paths) and _is_flow_of(h, term, paths)
-                    got, got_paths = important._important_candidates(h, term, k, flow=paths)
-                    cold, cold_paths = important._important_candidates(h, term, k)
-                    assert got == cold and len(got_paths) == len(cold_paths)
-                    assert _is_flow_of(h, term, got_paths)
+                    got, got_root = important._important_candidates(h, term, k, flow=paths)
+                    cold, cold_root = important._important_candidates(h, term, k)
+                    assert got == cold and got_root.value == cold_root.value
+                    assert _is_flow_of(h, term, got_root.disjoint_paths())
                     rewired += 1
     assert rewired > 1500
 
@@ -208,3 +208,20 @@ def test_rewired_branchings_start_from_the_seed_flow(monkeypatch):
     assert rewired[0] > 0 and cold == []
     # a cold root pays one search per path plus the failed one
     assert searches[0] <= 1.25 * flows
+
+
+def test_only_the_seed_root_decomposes_its_flow_into_paths(monkeypatch):
+    # every rewired branching starts from the seed root's paths, and on
+    # B(3,30) with k = 3 = kappa no node has room for an absorb child, so
+    # the seed root's are the only paths the stream builds
+    g, term = band(3, 30)
+    calls = []
+    disjoint_paths = mincut.FlowNetwork.disjoint_paths
+
+    def counted(self):
+        calls.append(self.G is g)
+        return disjoint_paths(self)
+
+    monkeypatch.setattr(mincut.FlowNetwork, "disjoint_paths", counted)
+    assert len(list(fpt.iter_small_minimal(g, term, 3))) == 260
+    assert calls == [True]

@@ -116,6 +116,21 @@ def test_enumerate_important_on_a_long_cycle_stays_linear_in_memory():
     assert got == [(1, n - 1)]
 
 
+def test_a_huge_k_is_cut_down_to_the_largest_separator_size():
+    # no separator has more than n - 2 vertices, so nothing may be sized by k
+    g, term = THETA.graph, THETA.terminals
+    small = (sp.enumerate_important(g, term, 3), list(sp.iter_small_minimal(g, term, 3)))
+    tracemalloc.start()
+    try:
+        huge = (sp.enumerate_important(g, term, 10**5),
+                list(sp.iter_small_minimal(g, term, 10**5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge == small
+    assert peak < 2**20
+
+
 def _two_way_candidates(G: Graph, sources: frozenset, sink: int, removed: frozenset,
                         budget: int, committed: frozenset, out: set[frozenset]) -> None:
     """The plain two-way branching, one cold flow per node, as a reference.

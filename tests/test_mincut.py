@@ -97,6 +97,14 @@ def test_flow_network_range_checks_its_vertex_arguments():
             FlowNetwork(P4.graph, (0,), 3, removed=removed)
 
 
+def test_flow_network_rejects_a_removed_sink():
+    g, term = THETA.graph, THETA.terminals  # s=0, a=1, t=2, b=3, c=4
+    for removed in ((term.t,), (1, term.t)):
+        with pytest.raises(SepenumError, match="^vertex 't' is removed$"):
+            FlowNetwork(g, (term.s,), term.t, removed=removed)
+    assert FlowNetwork(g, (term.s,), term.t, removed=(1,)).max_flow() == 1
+
+
 def test_both_cut_sides_are_minimal_and_minimum():
     for seed in range(25):
         g = random_connected_graph(5 + seed % 5, 0.4, 600 + seed)
