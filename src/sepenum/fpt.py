@@ -2,13 +2,15 @@
 
 A priority queue pops separators in ascending (|s-side component|,
 members) order.  It takes each unseen raw candidate of the important
-branching on a graph H that is a minimal separator of H: for the seeds H
-is G, and after S is emitted H is G with s joined to S and to N(v), for
-each v of S not next to t.  Such a separator of G avoids S's s-side and
-v, so its key is strictly larger than S's; the important ones make the
-stream complete, and a seen-set makes each separator appear once.
-Each rewired branching starts its root flow from the seed root's paths,
-which are a flow of H since H contains G (see `FlowNetwork`'s warm start).
+branching from t that is a minimal separator of G: toward s for the
+seeds, and once S is emitted toward C_s + {v}, C_s the s-side component
+of G - S, for each v of S not next to t.  That is the branching toward s
+on G with s joined to S and N(v) and the set contracted into s; as the
+set is connected and holds s, a candidate, which avoids it, is minimal
+there iff it is minimal in G, so the filter runs on G.  Such a separator
+avoids C_s and v, so its key is strictly larger than S's; the important
+ones make the stream complete, and a seen-set makes each appear once.
+Every branching starts its root flow from the seed root's paths.
 """
 
 from heapq import heappop, heappush
@@ -19,7 +21,7 @@ from .graph import (
     Separator,
     Terminals,
     _require_separable,
-    add_star,
+    add_star,  # unused, but bench/test_bench.py patches it here
     canonical,
     component_of,
     is_minimal_separator,
@@ -31,8 +33,7 @@ def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
     """Queue key of a separator: (size of s's component in G - S, members).
 
     Cardinality extends strict component inclusion, so this is a total
-    order refining the enumeration order.  Keys are always computed in
-    the original graph, even for separators discovered in rewired ones.
+    order refining the enumeration order.
     """
     members = canonical(S)
     return (len(component_of(G, members, s)), members)
@@ -42,17 +43,17 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
     """Yield every minimal s,t-separator of size at most k exactly once."""
     _require_separable(G, term)
     # eager, so a bad k raises here and not at the first pull
-    seeds, root = _important_candidates(G, term, k)
+    seeds, root = _important_candidates(G, term.t, {term.s}, k)
     paths = root.disjoint_paths()
 
     def generate():
         queue: list[tuple[int, Separator]] = []
         seen: set[Separator] = set()
-        comp_size, branched = 0, [(G, seeds)]
+        comp_size, branched = 0, [seeds]
         while True:
-            for H, candidates in branched:
+            for candidates in branched:
                 for T in candidates:
-                    if T in seen or not is_minimal_separator(H, term, T):
+                    if T in seen or not is_minimal_separator(G, term, T):
                         continue
                     seen.add(T)
                     key = pop_key(G, term.s, T)
@@ -61,11 +62,10 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
             if not queue:
                 return
             comp_size, S = heappop(queue)
-            assert len(S) <= k and is_minimal_separator(G, term, S)
+            assert len(S) <= k
             yield S
-            rewired = (add_star(G, term.s, (set(S) | G.adj[v]) - {term.s})
-                       for v in S if term.t not in G.adj[v])
-            branched = ((H, _important_candidates(H, term, k, paths)[0])
-                        for H in rewired)
+            side = component_of(G, S, term.s)
+            branched = (_important_candidates(G, term.t, side | {v}, k, paths)[0]
+                        for v in S if term.t not in G.adj[v])
 
     return generate()

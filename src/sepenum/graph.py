@@ -264,7 +264,7 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
 
 
 def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:
-    """Add all edges from s to the members of S.
+    """Add all edges from s to the members of S; no enumeration calls it.
 
     Only s and the members it was not yet joined to get a new
     neighbourhood; every other one is shared with G.
@@ -295,17 +295,20 @@ def absorb(G: Graph, s: int, v: int) -> Graph:
 # ---------------------------------------------------------------------------
 # separator constructions
 
-def _require_apart(G: Graph, sources: AbstractSet[int], sink: int) -> None:
-    """Raise TerminalsAdjacent when sink lies in the closed neighbourhood
-    of the sources: then no vertex set avoiding both separates them."""
-    _require_ids(G, (*sources, sink))
-    if sink in sources or not G.adj[sink].isdisjoint(sources):
-        raise TerminalsAdjacent(f"{G.labels[sink]!r} is in the closed "
-                                f"neighbourhood of {_names(G, sources)}")
+def _require_apart(G: Graph, sources: AbstractSet[int], sinks: AbstractSet[int]) -> None:
+    """Raise TerminalsAdjacent when a sink is in the closed neighbourhood of
+    the sources, which no set avoiding both cuts off; walks the smaller set."""
+    _require_ids(G, (*sources, *sinks))
+    small, large = (sources, sinks) if len(sources) < len(sinks) else (sinks, sources)
+    for v in small:
+        if v in large or not G.adj[v].isdisjoint(large):
+            near = sinks & sources.union(*[G.adj[u] for u in sources])
+            raise TerminalsAdjacent(f"{G.labels[min(near)]!r} is in the closed "
+                                    f"neighbourhood of {_names(G, sources)}")
 
 
 def _require_separable(G: Graph, term: Terminals) -> None:
-    _require_apart(G, {term.s}, term.t)
+    _require_apart(G, {term.s}, {term.t})
     if term.t not in _component(G.adj, (term.s,), set()):
         raise AlreadySeparated(
             f"terminals {G.labels[term.s]},{G.labels[term.t]} already separated")

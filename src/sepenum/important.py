@@ -9,12 +9,12 @@ Equivalently, with R the t-side component of G minus S: S is important
 exactly when S is the minimum (R, s)-cut whose R-side is inclusion-maximal.
 That duality drives both the one-flow test and the branching below.
 
-The branching runs from t toward s over the furthest minimum cut C of
-each node (Marx, TCS 2006).  A node with removed set R and flow value
-lambda has the candidate R + C, of size |R| + lambda.  The children where
-members of C join the separator inherit C minus those members as their
-cut and run no flow; only the root and the children that absorb a member
-of C into the source side run one, each started from its parent's paths.
+The branching runs from t toward s, or a sink set holding s, over the
+furthest minimum cut C of each node (Marx, TCS 2006).  A node with removed
+set R and flow value lambda has the candidate R + C, of size |R| + lambda.
+The children where members of C join the separator inherit C minus those
+members as their cut and run no flow; only the root and the children that
+absorb a member of C into the source side run one, from the parent's paths.
 The j-th absorb child has value at least lambda - j + 1: a cut D of it of
 size at most lambda - j would make D + C[:j] a minimum cut of the node
 with C[j] on its source side, and C is the furthest minimum cut.  So a
@@ -26,7 +26,7 @@ j are final: the CLI's `important` streams them size by size, and
 `enumerate_important` lists them all.
 """
 
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .errors import SepenumError
 from .graph import (
@@ -52,10 +52,10 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
     R = _component(G.adj, (term.t,), set(members))
-    return term.s not in R and _min_cut(G, R, term.s).furthest_cut() == members
+    return term.s not in R and _min_cut(G, R, (term.s,)).furthest_cut() == members
 
 
-def _levels(G: Graph, sink: int, k: int,
+def _levels(G: Graph, sinks: AbstractSet[int], k: int,
             root: FlowNetwork) -> Iterator[set[frozenset]]:
     """The branching's raw candidates of size 0, 1, ..., k, one set each,
     best first from the root, whose flow has run.
@@ -80,7 +80,7 @@ def _levels(G: Graph, sink: int, k: int,
     queued[0].append((frozenset(), tuple(root.sources), 0, frozenset(), ()))
     for b in range(k + 1):
         for above, start, j, removed, paths in queued[b]:
-            net = _min_cut(G, above | {start[j]}, sink, removed, paths) if paths else root
+            net = _min_cut(G, above | {start[j]}, sinks, removed, paths) if paths else root
             size = len(removed) + net.value
             if size > k:
                 continue
@@ -90,32 +90,32 @@ def _levels(G: Graph, sink: int, k: int,
                 reach = above | _component(G.adj, start, above.union(removed, cut))
                 paths = net.disjoint_paths()
                 for j, v in enumerate(cut):
-                    if sink not in G.adj[v]:  # reach itself is never next to the sink
+                    if G.adj[v].isdisjoint(sinks):  # reach is never next to one
                         queued[size + 1].append(
                             (reach, cut, j, removed.union(cut[:j]), paths))
         queued[b].clear()  # release the processed children
         yield levels[b]
 
 
-def _branching(G: Graph, term: Terminals, k: int,
+def _branching(G: Graph, t: int, sinks: AbstractSet[int], k: int,
                flow=()) -> tuple[FlowNetwork, Iterator[set[frozenset]]]:
-    """Run the root flow, from t to s and started from `flow`, now; return
-    it and `_levels` over the rest.  The terminals must be neither
-    adjacent nor equal."""
+    """Run the root flow, from t to the sink set and started from `flow`,
+    now; return it and `_levels` over the rest.  No sink may be t or next
+    to it."""
     if k < 1:
         raise SepenumError(f"k must be at least 1, got {k}")
     k = min(k, G.n - 2)  # no separator is larger
-    root = _min_cut(G, (term.t,), term.s, (), flow)
-    return root, _levels(G, term.s, k, root)
+    root = _min_cut(G, (t,), sinks, (), flow)
+    return root, _levels(G, root.sinks, k, root)
 
 
-def _important_candidates(G: Graph, term: Terminals, k: int,
+def _important_candidates(G: Graph, t: int, sinks: AbstractSet[int], k: int,
                           flow=()) -> tuple[set[Separator], FlowNetwork]:
     """The branching's raw candidates as canonical separators (at most 4^k
-    sets, not all minimal, including every important separator of size at
-    most k), and the root's network.  The root starts from `flow`, such as
-    the seed root's paths; the furthest cuts alone decide the candidates."""
-    root, levels = _branching(G, term, k, flow)
+    sets, not all minimal, including every important one of size at most
+    k), and the root's network.  The root starts from `flow`, such as the
+    seed root's paths; the furthest cuts alone decide the candidates."""
+    root, levels = _branching(G, t, sinks, k, flow)
     found = {canonical(members) for level in levels for members in level}
     return found, root
 
@@ -127,7 +127,7 @@ def _iter_important(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     Bad input raises here, and the root flow runs here, not at the first
     pull."""
     _require_separable(G, term)
-    levels = _branching(G, term, k)[1]
+    levels = _branching(G, term.t, {term.s}, k)[1]
 
     def generate():
         for level in levels:

@@ -1,15 +1,15 @@
 """Vertex-capacity minimum cuts by augmenting paths on the adjacency.
 
-Every vertex but the sources and the sink has capacity one, so a flow is
-a family of internally vertex-disjoint paths, kept as one `pred` and one
-`succ` per vertex.  The residual graph lives on implicit split states
-in(v) = 2v and out(v) = 2v + 1, with no network built: out(v) reaches
-in(w) of every live neighbour w, and in(v) when v is used; in(v) reaches
-out(v) when v is free and out(pred[v]) when it is used.  Swap in- and
-out-states and read `succ` for `pred`, and the same rules give the
-reversed residual graph.  So one traversal, `_grow`, runs both ways: a
-forward side from the sources' out-states and a backward side from
-in(sink), each in its own coordinates.
+Both ends are vertex sets, and every other vertex has capacity one, so a
+flow is a family of internally vertex-disjoint paths, kept as one `pred`
+and one `succ` per vertex.  The residual graph lives on implicit split
+states in(v) = 2v and out(v) = 2v + 1, with no network built: out(v)
+reaches in(w) of every live neighbour w, and in(v) when v is used; in(v)
+reaches out(v) when v is free and out(pred[v]) when it is used.  Swap
+in- and out-states and read `succ` for `pred`, and the same rules give
+the reversed residual graph.  So one traversal, `_grow`, runs both ways:
+a forward side from the sources' out-states and a backward side from
+the sinks' in-states, each in its own coordinates and built by `_side`.
 
 An augmenting search, `_search`, grows the side with the smaller frontier
 until it is the larger one, and splices the two sides at the first state
@@ -21,17 +21,17 @@ off a finished side: the vertices v with in(v) reached and out(v) not, in
 the side's own coordinates.
 
 After a maximum flow, the minimum cuts are exactly the state sets C that
-contain the sources' out-states, avoid in(sink) and are closed under
+contain the sources' out-states, avoid every in(sink) and are closed under
 those residual arcs (Picard & Queyranne 1980).  The closest cut is the
 least such set: the forward side of the final, failed search, finished.
 The furthest cut is the least one of the reversed flow: the backward
 side, finished, holds in(v) in its coordinates exactly when out(v)
-reaches in(sink).  The failed search ends when either side dies, and
+reaches an in(sink).  The failed search ends when either side dies, and
 each cut query finishes only the side it reads, at most O(n + m).
 `closest_cut_with(include, excluded)` answers one constrained query with
 one more, one-sided search and no further flow: it seeds in(i) for every
 i in `include`, adds the arc in(e) -> out(e) for every e in `excluded`
-(e is not cut), and fails when it reaches in(sink) or an out(i).  Each
+(e is not cut), and fails when it reaches an in(sink) or an out(i).  Each
 constraint is an implication between states, so the feasible sets still
 form a lattice and the least one is the closest feasible cut.
 
@@ -40,7 +40,7 @@ bounds can be checked externally.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, count, islice
 
 from .errors import AlreadySeparated, SepenumError
 from .graph import (
@@ -69,13 +69,13 @@ class _Side:
     enters, -1 for a seed and otherwise the state x was reached from.
     `queue` lists the reached states in BFS order; the first `head` of
     them are expanded, and `rest` iterates over the others.  `link` is
-    `pred` forward and `succ` backward.
+    `pred` forward and `succ` backward; each search starts at `seeds`.
     """
 
-    __slots__ = ("seen", "link", "queue", "head", "rest")
+    __slots__ = ("seen", "link", "seeds", "queue", "head", "rest")
 
-    def __init__(self, seen: list[int], link: list[int]):
-        self.seen, self.link, self.queue, self.head = seen, link, [], 0
+    def __init__(self, seen: list[int], link: list[int], seeds: list[int]):
+        self.seen, self.link, self.seeds, self.queue, self.head = seen, link, seeds, [], 0
         self.rest = iter(self.queue)
 
     def start(self, seeds) -> None:
@@ -90,67 +90,62 @@ class _Side:
 
 
 class FlowNetwork:
-    """Flow state for one (source-set, sink) cut computation.
+    """Flow state for one (source-set, sink-set) cut computation.
 
     Scratch structure: create, run max_flow once, then query cuts/paths.
-    Vertices in `removed`, never the sink, are absent from the graph.
-    Raises TerminalsAdjacent if a source is the sink or adjacent to it.
+    Vertices in `removed`, never a sink, are absent from the graph.
+    Raises TerminalsAdjacent if a sink is a source or next to one.
 
     `flow` is an optional starting flow, such as a parent's paths, passed
     unchanged.  The one warm-start rule drops each path through a removed
-    vertex and starts each other one at its last leading source; the rest
-    must be a flow of G that meets no further source.  max_flow then only
+    vertex, starts each other one at its last leading source and ends it
+    at its first sink; the rest must be a flow of G.  max_flow then only
     augments, to a cold start's value and cuts, since every maximum flow
     leaves the same vertices residual-reachable.
     """
 
-    def __init__(self, G: Graph, sources, sink: int, removed=(), flow=()):
+    def __init__(self, G: Graph, sources, sinks, removed=(), flow=()):
         self.G, self.adj = G, G.adj
-        self.sink = sink
-        removed = set(removed)
+        removed = self._removed = set(removed)
         _require_ids(G, removed)
-        if sink in removed:
-            raise SepenumError(f"vertex {G.labels[sink]!r} is removed")
+        sink_set = self.sinks = set(sinks)
+        if not sink_set.isdisjoint(removed):
+            raise SepenumError(f"vertex {G.labels[min(sink_set & removed)]!r} is removed")
         source_set = set(sources) - removed
-        _require_apart(G, source_set, sink)
-        blocked = self._blocked = source_set | removed
+        _require_apart(G, source_set, sink_set)
         self.sources = sorted(source_set)
         pred = self.pred = [-1] * G.n
         succ = self.succ = [-1] * G.n
-        # Neither side enters a removed vertex, and the forward side enters
-        # no source.  The backward side may step into out(source), where it
-        # meets the forward side, so a backward side that dies has found
-        # no path however little the forward side has grown.
-        seen = [-2] * (2 * G.n)
-        for v in removed:
-            seen[2 * v] = -3
-        self._bwd = _Side(seen, succ)
-        self._fwd = _Side(self._unseen(), pred)
-        # a source whose neighbours are all blocked reaches nothing: seeding
-        # it would only inflate the forward frontier that _search balances
-        self._seeds = [2 * s + 1 for s in self.sources if not self.adj[s] <= blocked]
+        # The backward side may step into out(source), where it meets the
+        # forward side: one that dies has found no path, however early.
+        self._fwd = self._side(self.sources, pred)
+        self._bwd = self._side(sink_set, succ)
         self.value = 0
         self._ran = False
+        is_sink = sink_set.__contains__
         for path in flow:  # the warm-start rule, then link the inner vertices
             if not removed.isdisjoint(path):
                 continue
             i = 1  # path[i - 1] is the last leading source
             while path[i] in source_set:
                 i += 1
-            path = path[i - 1:] if i > 1 else path
-            assert path[0] in source_set and path[-1] == sink
+            path = path[i - 1:next(compress(count(1), map(is_sink, path)))]
+            assert path[0] in source_set
             for u, w, x in zip(path, path[1:-1], path[2:]):
-                assert w not in blocked and pred[w] < 0 and w in self.adj[u]
+                assert w not in source_set and pred[w] < 0 and w in self.adj[u]
                 pred[w], succ[w] = u, x
-            assert sink in self.adj[path[-2]]
+            assert path[-1] in self.adj[path[-2]]
             self.value += 1
 
-    def _unseen(self) -> list[int]:
-        """A `seen` list for a new forward side."""
-        seen = [-2] * (2 * len(self.adj))
-        for v in self._blocked:
+    def _side(self, ends, link: list[int]) -> _Side:
+        """A new side from `ends`, in its own coordinates: it never enters
+        the in-state of an end or a removed vertex, and seeds only the ends
+        with a neighbour outside those, so a sink set costs its boundary."""
+        adj, blocked = self.adj, self._removed.union(ends)
+        seen = [-2] * (2 * len(adj))
+        for v in blocked:
             seen[2 * v] = -3
-        return seen
+        return _Side(seen, link, [2 * v + 1 for v in ends if not adj[v] <= blocked])
 
     def _grow(self, side: _Side, theirs: list[int], limit=None, uncut=()) -> int:
         """The residual BFS: expand `side` over the arcs its `link` gives,
@@ -213,8 +208,8 @@ class FlowNetwork:
         or -1 when a side dies, which leaves that side finished and the
         other one partial."""
         fwd, bwd = self._fwd, self._bwd
-        fwd.start(self._seeds)
-        bwd.start([2 * self.sink + 1])
+        fwd.start(fwd.seeds)
+        bwd.start(bwd.seeds)
         while True:
             if len(fwd.queue) - fwd.head <= len(bwd.queue) - bwd.head:
                 side, other = fwd, bwd
@@ -263,7 +258,7 @@ class FlowNetwork:
 
     def max_flow(self) -> int:
         """Augment along paths from searches grown from both ends until
-        the sink is cut off; the final, failed search stays for the cuts."""
+        the sinks are cut off; the final, failed search stays for the cuts."""
         global _flow_calls
         assert not self._ran
         self._ran = True
@@ -286,18 +281,17 @@ class FlowNetwork:
         Run after max_flow.  One forward search from the sources'
         out-states and every in(i), i in `include`, that may also step from
         in(e) to out(e) for every e in `excluded`; it is infeasible exactly
-        when it reaches in(sink) or out(i) for some i in `include`, which
-        it marks as the states of an unmoving other side.
+        when it reaches an in(sink) or out(i) for some i in `include`,
+        which it marks as the states of an unmoving other side.
         """
         assert self._ran
-        _check_avoids_terminals(self.G, (*self.sources, self.sink), include)
+        _check_avoids_terminals(self.G, (*self.sources, *self.sinks), include)
         _require_ids(self.G, excluded)
-        side = _Side(self._unseen(), self.pred)
-        side.start([*self._seeds, *(2 * i for i in include)])
+        side = self._side(self.sources, self.pred)
+        side.start([*side.seeds, *(2 * i for i in include)])
         infeasible = [-2] * len(side.seen)  # in the swapped coordinates
-        infeasible[2 * self.sink + 1] = -1
-        for i in include:
-            infeasible[2 * i] = -1
+        for x in (*self._bwd.seeds, *(2 * i for i in include)):
+            infeasible[x] = -1
         if self._grow(side, infeasible, uncut=set(excluded)) >= 0:
             return None
         return self._cut(side)
@@ -307,21 +301,22 @@ class FlowNetwork:
 
         The closest cut of the reversed flow: the backward side of
         max_flow's final, failed search, finished, reaches in(v) in its
-        swapped coordinates exactly when out(v) reaches in(sink) in the
+        swapped coordinates exactly when out(v) reaches an in(sink) in the
         flow.
         """
         self._grow(self._bwd, self._fwd.seen)
         return self._cut(self._bwd)
 
     def disjoint_paths(self) -> list[list[int]]:
-        """The flow as internally vertex-disjoint source-to-sink paths."""
-        pred, succ, sink = self.pred, self.succ, self.sink
+        """The flow as internally vertex-disjoint source-to-sink paths,
+        each ending at its first sink."""
+        pred, succ, sinks = self.pred, self.succ, self.sinks
         paths = []
         for s in self.sources:
             for w in sorted(self.adj[s]):
                 if pred[w] == s:
                     path = [s, w]
-                    while w != sink:
+                    while w not in sinks:
                         w = succ[w]
                         path.append(w)
                     paths.append(path)
@@ -336,15 +331,15 @@ class CutResult:
     disjoint_paths: list[list[int]] = field(default_factory=list)
 
 
-def _min_cut(G: Graph, sources, sink: int, removed=(), flow=()) -> FlowNetwork:
-    net = FlowNetwork(G, sources, sink, removed, flow)
+def _min_cut(G: Graph, sources, sinks, removed=(), flow=()) -> FlowNetwork:
+    net = FlowNetwork(G, sources, sinks, removed, flow)
     net.max_flow()
     return net
 
 
 def _terminal_flow(G: Graph, term: Terminals) -> FlowNetwork:
     """Maximum s,t-flow; the terminals must be neither adjacent nor separated."""
-    net = _min_cut(G, (term.s,), term.t)
+    net = _min_cut(G, (term.s,), (term.t,))
     if net.value == 0:
         raise AlreadySeparated(
             f"terminals {G.labels[term.s]},{G.labels[term.t]} already separated")
@@ -370,7 +365,7 @@ def min_separator_containing(G: Graph, term: Terminals, I) -> Separator | None:
     """
     members = canonical(I)
     _check_avoids_terminals(G, term, members)
-    return _min_cut(G, (term.s,), term.t).closest_cut_with(members)
+    return _min_cut(G, (term.s,), (term.t,)).closest_cut_with(members)
 
 
 def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
@@ -382,8 +377,8 @@ def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
     """
     members = canonical(U)
     _check_avoids_terminals(G, term, members)
-    _require_apart(G, (term.s,), term.t)
+    _require_apart(G, {term.s}, {term.t})
     H = saturate(G, members)
     if H.has_edge(term.s, term.t):
         return None
-    return _min_cut(H, (term.s,), term.t).closest_cut()
+    return _min_cut(H, (term.s,), (term.t,)).closest_cut()

@@ -87,7 +87,7 @@ def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
         H = saturate(G, excluded)
         if H.has_edge(term.s, term.t):
             return None
-        net = _min_cut(H, (term.s,), term.t, removed=include, flow=paths)
+        net = _min_cut(H, (term.s,), (term.t,), removed=include, flow=paths)
         # include is a proper subset of S, the minimum of the parent's cell,
         # so it cannot separate s from t there, nor in H, which has more edges
         assert net.value > 0, "the include-set alone separates s from t"

@@ -114,24 +114,21 @@ def test_rewired_graphs_have_only_minimal_separators_of_g_with_larger_keys():
 
 def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     g, term = band(3, 30)
-    seen, tested, offered, popped = set(), [], [], []
+    seen, tested, offered = set(), [], []
     is_minimal, candidates = fpt.is_minimal_separator, fpt._important_candidates
 
     def spy(H, term_, T):
+        assert H is g and T not in seen  # no emission is tested again
         result = is_minimal(H, term_, T)
-        if T in seen:  # only the pop-time check of a queued separator
-            assert H is g and T not in popped
-            popped.append(T)
-        else:
-            tested.append(T)
-            if result:
-                seen.add(T)
+        tested.append(T)
+        if result:
+            seen.add(T)
         return result
 
-    def counted_candidates(H, term_, k, flow=()):
-        found, paths = candidates(H, term_, k, flow)
+    def counted_candidates(H, t, sinks, k, flow=()):
+        found, root = candidates(H, t, sinks, k, flow)
         offered.extend(found)
-        return found, paths
+        return found, root
 
     def refuse(*args):
         raise AssertionError("list-minimal runs no importance test")
@@ -142,59 +139,51 @@ def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     monkeypatch.setattr(important, "enumerate_important", refuse)
     emitted = list(fpt.iter_small_minimal(g, term, 3))
     assert len(emitted) == 260 and set(emitted) == seen
-    assert popped in ([], emitted)  # asserts run unless python -O
-    # most candidates of the rewired graphs were seen before and not tested
+    # most candidates of the sink-set branchings were seen before and not tested
     assert 0 < len(tested) < len(offered) / 2
 
 
-def _is_flow_of(H, term, paths) -> bool:
-    """Whether `paths` are t-to-s paths of H with pairwise disjoint
-    interiors that avoid both terminals."""
-    inner = [w for p in paths for w in p[1:-1]]
-    return (all(p[0] == term.t and p[-1] == term.s for p in paths)
-            and all(w in H.adj[u] for p in paths for u, w in zip(p, p[1:]))
-            and len(inner) == len(set(inner))
-            and not {term.s, term.t} & set(inner))
-
-
-def test_warm_rewired_branchings_give_the_cold_candidates():
-    # every rewired H of list-minimal: the seed root's paths, unchanged,
-    # are a flow of H, and the branching started from them finds exactly
-    # the candidates of a cold one
+def test_sink_set_branchings_give_the_candidates_of_the_star_rewired_graph():
+    # G with the sink set C_s + {v} is G with s joined to S and N(v), the
+    # graph H = add_star(...) the stream used to build, with the set
+    # contracted into s: for every emission S and v of S not next to t, the
+    # branching toward the set, warm from the seed root's paths, finds
+    # exactly the candidates and root value of a cold branching toward s
+    # on H
     cases = [band(3, 8), band(4, 6)]
     for seed in range(18):
         g = random_connected_graph(8 + seed % 9, (0.2, 0.3, 0.45)[seed % 3], 1600 + seed)
         cases += [(g, term) for term in nonadjacent_pairs(g)][::7]
-    rewired = 0
+    checked = 0
     for g, term in cases:
         for k in range(1, 5):
-            paths = important._important_candidates(g, term, k)[1].disjoint_paths()
+            paths = important._important_candidates(g, term.t, {term.s}, k)[1].disjoint_paths()
             for S in fpt.iter_small_minimal(g, term, k):
+                side = sp.component_of(g, S, term.s)
                 for v in S:
                     if term.t in g.adj[v]:
                         continue
+                    got, got_root = important._important_candidates(
+                        g, term.t, side | {v}, k, paths)
                     h = sp.add_star(g, term.s, (set(S) | g.adj[v]) - {term.s})
-                    net = mincut.FlowNetwork(h, (term.t,), term.s, flow=paths)
-                    assert net.value == len(paths) and _is_flow_of(h, term, paths)
-                    got, got_root = important._important_candidates(h, term, k, flow=paths)
-                    cold, cold_root = important._important_candidates(h, term, k)
+                    cold, cold_root = important._important_candidates(h, term.t, {term.s}, k)
                     assert got == cold and got_root.value == cold_root.value
-                    assert _is_flow_of(h, term, got_root.disjoint_paths())
-                    rewired += 1
-    assert rewired > 1500
+                    checked += 1
+    assert checked > 1500
 
 
-def test_rewired_branchings_start_from_the_seed_flow(monkeypatch):
+def test_sink_set_branchings_run_on_g_and_start_from_the_seed_flow(monkeypatch):
     g, term = band(3, 30)
-    searches, rewired, cold = [0], [0], []
+    searches, sink_sets, cold = [0], [0], []
     init, search = mincut.FlowNetwork.__init__, mincut.FlowNetwork._search
 
-    def recording_init(self, G, sources, sink, removed=(), flow=()):
-        if G is not g:
-            rewired[0] += 1
+    def recording_init(self, G, sources, sinks, removed=(), flow=()):
+        assert G is g
+        if set(sinks) != {term.s}:
+            sink_sets[0] += 1
             if not flow:
                 cold.append(sorted(sources))
-        init(self, G, sources, sink, removed, flow)
+        init(self, G, sources, sinks, removed, flow)
 
     def counted_search(self):
         searches[0] += 1
@@ -205,9 +194,45 @@ def test_rewired_branchings_start_from_the_seed_flow(monkeypatch):
     before = flow_call_count()
     assert len(list(fpt.iter_small_minimal(g, term, 3))) == 260
     flows = flow_call_count() - before
-    assert rewired[0] > 0 and cold == []
+    assert sink_sets[0] > 0 and cold == []
     # a cold root pays one search per path plus the failed one
     assert searches[0] <= 1.25 * flows
+
+
+def test_no_backward_side_enters_the_s_side_of_an_emission(monkeypatch):
+    # After S is emitted, every branching toward C_s + {v} must cost the
+    # boundary of that set, not its interior: no backward side of those
+    # networks reaches a state of a vertex of C_s beyond its seeds.  The
+    # stream builds no graph on the way.
+    g, term = band(3, 30)
+    interior, networks = [set()], []
+    init, grow = mincut.FlowNetwork.__init__, mincut.FlowNetwork._grow
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        networks.append(self)
+        self.interior = interior[0]
+
+    def checked_grow(self, side, *args, **kwargs):
+        met = grow(self, side, *args, **kwargs)
+        if side is self._bwd:
+            assert not any(x >> 1 in self.interior for x in side.queue if side.seen[x] >= 0)
+        return met
+
+    def refuse(*args):
+        raise AssertionError("list-minimal builds no graph")
+
+    monkeypatch.setattr(mincut.FlowNetwork, "__init__", recording_init)
+    monkeypatch.setattr(mincut.FlowNetwork, "_grow", checked_grow)
+    for module, name in ((sp.graph, "add_star"), (fpt, "add_star"),
+                         (sp.graph, "saturate"), (mincut, "saturate")):
+        monkeypatch.setattr(module, name, refuse)
+    emitted = 0
+    for S in fpt.iter_small_minimal(g, term, 3):
+        interior[0] = sp.component_of(g, S, term.s)
+        emitted += 1
+    assert emitted == 260 and len(networks) > 700
+    assert max(len(net.interior) for net in networks) > 80
 
 
 def test_only_the_seed_root_decomposes_its_flow_into_paths(monkeypatch):

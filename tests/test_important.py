@@ -142,7 +142,7 @@ def _two_way_candidates(G: Graph, sources: frozenset, sink: int, removed: frozen
     """
     if not G.adj[sink].isdisjoint(sources - removed):
         return
-    net = _min_cut(G, sources, sink, removed)
+    net = _min_cut(G, sources, (sink,), removed)
     if net.value == 0:
         out.add(committed)
         return
@@ -165,7 +165,8 @@ def test_branching_gives_the_two_way_recursions_candidates():
                 raw: set[frozenset] = set()
                 _two_way_candidates(g, frozenset((term.t,)), term.s, frozenset(), k,
                                     frozenset(), raw)
-                assert _important_candidates(g, term, k)[0] == {canonical(X) for X in raw}
+                assert _important_candidates(g, term.t, (term.s,), k)[0] == {
+                    canonical(X) for X in raw}
                 cases += 1
     assert cases > 5000
 
@@ -187,7 +188,7 @@ def test_every_absorb_branch_starts_from_its_parents_paths(monkeypatch):
     for g, term in cases:
         for k in range(1, 6):
             starts.clear()
-            _important_candidates(g, term, k)
+            _important_candidates(g, term.t, (term.s,), k)
             assert starts[0] == 0  # the root starts cold
             assert all(starts[1:])
             children += len(starts) - 1
@@ -199,7 +200,7 @@ def _check_absorb_children(G: Graph, sources, sink: int, removed: frozenset,
     """Run every absorb child of the branching's nodes whose candidate has
     at most cap vertices, and assert that the j-th child of a node with
     value lam has value at least lam - j + 1; return how many ran."""
-    net = _min_cut(G, sources, sink, removed)
+    net = _min_cut(G, sources, (sink,), removed)
     lam = net.value
     if not 0 < lam <= cap - len(removed):
         return 0
@@ -210,7 +211,7 @@ def _check_absorb_children(G: Graph, sources, sink: int, removed: frozenset,
         if sink in G.adj[v]:
             continue
         child = reach | {v}, sink, removed.union(cut[:j])
-        assert _min_cut(G, *child).value >= lam - j + 1
+        assert _min_cut(G, child[0], (sink,), child[2]).value >= lam - j + 1
         checked += 1 + _check_absorb_children(G, *child, cap)
     return checked
 

@@ -55,7 +55,7 @@ def test_kappa_menger_on_random_graphs():
 
 def _cuts(g, sources, sink):
     """The closest and the furthest minimum cut, after _check_flow."""
-    net = _check_flow(g, set(sources), sink, set())
+    net = _check_flow(g, set(sources), {sink}, set())
     return net.closest_cut(), net.furthest_cut()
 
 
@@ -66,24 +66,24 @@ def test_flow_network_cut_examples():
 
 def test_flow_network_adjacent_sink_and_value_zero():
     with pytest.raises(TerminalsAdjacent, match="'a' is in the closed neighbourhood of s"):
-        FlowNetwork(P4.graph, (0,), 1)
-    net = _check_flow(parse_graph("s a\nt b"), {0}, 2, set())
+        FlowNetwork(P4.graph, (0,), (1,))
+    net = _check_flow(parse_graph("s a\nt b"), {0}, {2}, set())
     assert (net.value, net.closest_cut(), net.furthest_cut()) == (0, (), ())
 
 
 def test_flow_network_rejects_a_sink_in_the_sources_closed_neighbourhood():
     g = THETA.graph  # s-a-t and s-b-c-t: s=0, a=1, t=2, b=3, c=4
     with pytest.raises(TerminalsAdjacent, match="'t' is in the closed neighbourhood of s,c"):
-        FlowNetwork(g, (0, 4), 2)
+        FlowNetwork(g, (0, 4), (2,))
     with pytest.raises(TerminalsAdjacent, match="'t' is in the closed neighbourhood of t,b"):
-        FlowNetwork(g, (3, 2), 2)
+        FlowNetwork(g, (3, 2), (2,))
     # a removed source is no source: without c, {s} and t are apart
-    assert FlowNetwork(g, (0, 4), 2, removed=(4,)).max_flow() == 1
+    assert FlowNetwork(g, (0, 4), (2,), removed=(4,)).max_flow() == 1
 
 
 def test_flow_network_range_checks_its_vertex_arguments():
     g = parse_graph("s a\na b\nb t\ns c\nc t")  # s=0, a=1, b=2, t=3, c=4
-    net = FlowNetwork(g, (0,), 3)
+    net = FlowNetwork(g, (0,), (3,))
     assert net.max_flow() == 2
     for include, excluded in (((-1,), ()), ((5,), ()), ((), (-1,)), ((), (9,))):
         with pytest.raises(SepenumError, match="out of range"):
@@ -94,15 +94,15 @@ def test_flow_network_range_checks_its_vertex_arguments():
     assert net.closest_cut_with((2,)) == (2, 4)
     for removed in ((-1,), (9,)):
         with pytest.raises(SepenumError, match="out of range"):
-            FlowNetwork(P4.graph, (0,), 3, removed=removed)
+            FlowNetwork(P4.graph, (0,), (3,), removed=removed)
 
 
 def test_flow_network_rejects_a_removed_sink():
     g, term = THETA.graph, THETA.terminals  # s=0, a=1, t=2, b=3, c=4
     for removed in ((term.t,), (1, term.t)):
         with pytest.raises(SepenumError, match="^vertex 't' is removed$"):
-            FlowNetwork(g, (term.s,), term.t, removed=removed)
-    assert FlowNetwork(g, (term.s,), term.t, removed=(1,)).max_flow() == 1
+            FlowNetwork(g, (term.s,), (term.t,), removed=removed)
+    assert FlowNetwork(g, (term.s,), (term.t,), removed=(1,)).max_flow() == 1
 
 
 def test_both_cut_sides_are_minimal_and_minimum():
@@ -233,15 +233,15 @@ def test_no_minimal_separator_contains_a_simplicial_vertex():
 
 def test_flow_network_counter_increments():
     before = flow_call_count()
-    net = FlowNetwork(P4.graph, (0,), 3)
+    net = FlowNetwork(P4.graph, (0,), (3,))
     assert net.max_flow() == 1
     assert flow_call_count() == before + 1
     assert net.closest_cut() == (1,) and net.furthest_cut() == (2,)
 
 
-def _check_flow(g, sources, sink, removed, flow=()) -> FlowNetwork:
+def _check_flow(g, sources, sinks, removed, flow=()) -> FlowNetwork:
     """Run the kernel and check its cuts and paths against each other."""
-    net = FlowNetwork(g, sources, sink, removed, flow)
+    net = FlowNetwork(g, sources, sinks, removed, flow)
     value = net.max_flow()
     closest, furthest = net.closest_cut(), net.furthest_cut()
     paths = net.disjoint_paths()
@@ -255,11 +255,12 @@ def _check_flow(g, sources, sink, removed, flow=()) -> FlowNetwork:
 
     # each cut separates, so with as many disjoint paths both are minimum
     for cut in (closest, furthest):
-        assert not set(cut) & (removed | sources | {sink})
-        assert sink not in source_side(cut)
+        assert not set(cut) & (removed | sources | sinks)
+        assert sinks.isdisjoint(source_side(cut))
     assert source_side(closest) <= source_side(furthest)
     for path in paths:
-        assert path[0] in sources and path[-1] == sink
+        assert path[0] in sources and path[-1] in sinks
+        assert sinks.isdisjoint(path[:-1])  # each path ends at its first sink
         assert len(set(path)) == len(path)
         assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
         assert not set(path) & removed
@@ -282,7 +283,85 @@ def test_flow_network_on_source_and_removed_sets(data):
     rest = [v for v in range(n) if v != sink and v not in sources]
     removed = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()),
                         label="removed")
-    _check_flow(g, sources, sink, removed)
+    _check_flow(g, sources, {sink}, removed)
+
+
+def _sink_set_draw(data):
+    """A random graph, a non-empty sink set, sources apart from it and
+    removed vertices outside both; None when the draw leaves no sources."""
+    n = data.draw(st.integers(2, 12), label="n")
+    p = data.draw(st.sampled_from((0.15, 0.3, 0.5)), label="p")
+    g = random_graph(n, p, data.draw(st.integers(0, 10_000), label="seed"))
+    sinks = data.draw(st.sets(st.sampled_from(range(n)), min_size=1, max_size=n - 1),
+                      label="sinks")
+    far = [v for v in range(n) if v not in sinks and g.adj[v].isdisjoint(sinks)]
+    if not far:
+        return None
+    sources = data.draw(st.sets(st.sampled_from(far), min_size=1), label="sources")
+    rest = [v for v in range(n) if v not in sinks and v not in sources]
+    removed = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()),
+                        label="removed")
+    return g, sources, sinks, removed
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_sink_set_has_the_value_and_cuts_of_its_contraction(data):
+    # Contract the sink set into its least member x: x is joined to every
+    # neighbour of the set, and the other members keep no edge.
+    drawn = _sink_set_draw(data)
+    if drawn is None:
+        return
+    g, sources, sinks, removed = drawn
+    x = min(sinks)
+    outside = [(u, w) for u, w in g.edges() if u not in sinks and w not in sinks]
+    boundary = set().union(*(g.adj[y] for y in sinks)) - sinks
+    h = Graph(g.n, [*outside, *((x, w) for w in boundary)], g.labels)
+    net = _check_flow(g, sources, sinks, removed)
+    contracted = _check_flow(h, sources, {x}, removed)
+    assert net.value == contracted.value
+    assert net.closest_cut() == contracted.closest_cut()
+    assert net.furthest_cut() == contracted.furthest_cut()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_warm_start_through_the_sink_set_ends_at_its_first_sink(data):
+    # The paths of a flow toward one sink in the set run on through the
+    # set; the network keeps each up to its first sink, then augments to
+    # the cold start's value and cuts.
+    drawn = _sink_set_draw(data)
+    if drawn is None:
+        return
+    g, sources, sinks, removed = drawn
+    base = FlowNetwork(g, sources, (min(sinks),))
+    base.max_flow()
+    paths = base.disjoint_paths()
+    kept = [path for path in paths if removed.isdisjoint(path)]
+    warm = FlowNetwork(g, sources, sinks, removed, paths)
+    trimmed = [path[:next(i for i, v in enumerate(path) if v in sinks) + 1] for path in kept]
+    assert warm.disjoint_paths() == trimmed
+    warm = _check_flow(g, sources, sinks, removed, paths)
+    cold = FlowNetwork(g, sources, sinks, removed)
+    assert warm.value == cold.max_flow()
+    assert warm.closest_cut() == cold.closest_cut()
+    assert warm.furthest_cut() == cold.furthest_cut()
+
+
+def test_flow_network_checks_a_sink_set_like_a_single_sink():
+    g = THETA.graph  # s-a-t and s-b-c-t: s=0, a=1, t=2, b=3, c=4
+    with pytest.raises(TerminalsAdjacent, match="'a' is in the closed neighbourhood of s"):
+        FlowNetwork(g, (0,), (2, 1))
+    for sinks in ((4,), (2, 4), (0, 4)):  # c is a source, t and b its neighbours
+        with pytest.raises(TerminalsAdjacent, match="is in the closed neighbourhood of c$"):
+            FlowNetwork(g, (4,), sinks)
+    with pytest.raises(SepenumError, match="^vertex 'c' is removed$"):
+        FlowNetwork(g, (0,), (2, 4), removed=(4, 1))
+    with pytest.raises(SepenumError, match="out of range"):
+        FlowNetwork(g, (0,), (2, 5))
+    net = _check_flow(g, {0}, {2, 4}, set())
+    assert (net.value, net.closest_cut(), net.furthest_cut()) == (2, (1, 3), (1, 3))
+    assert net.disjoint_paths() == [[0, 1, 2], [0, 3, 4]]
 
 
 def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
@@ -294,7 +373,7 @@ def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
                    (5, 8), (6, 19), (6, 21), (8, 14), (8, 17), (9, 15), (10, 15),
                    (11, 12), (11, 15), (13, 20), (13, 21), (14, 20), (16, 19),
                    (17, 19), (17, 20), (18, 21)])
-    net = FlowNetwork(g, (0,), 21)
+    net = FlowNetwork(g, (0,), (21,))
     used = []
     augment = net._augment
     def recording_augment(met):
@@ -302,7 +381,7 @@ def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
         used.append(net.pred[20] >= 0)
     net._augment = recording_augment
     assert net.max_flow() == 2 and used == [True, False]
-    assert _check_flow(g, {0}, 21, set()).disjoint_paths() == [
+    assert _check_flow(g, {0}, {21}, set()).disjoint_paths() == [
         [0, 5, 8, 17, 19, 6, 21], [0, 12, 11, 15, 10, 2, 13, 21]]
 
 
@@ -312,7 +391,7 @@ def test_a_backward_side_that_dies_first_still_meets_a_source():
     # has grown at all.  A backward side that could not enter out(4) would
     # die there and report no path, value 0.
     g = Graph(6, [(0, 2), (1, 4), (1, 5), (2, 4)])
-    net = _check_flow(g, {2, 4}, 5, set())
+    net = _check_flow(g, {2, 4}, {5}, set())
     assert net.value == 1
     assert net.closest_cut() == net.furthest_cut() == (1,)
     assert net.disjoint_paths() == [[4, 1, 5]]
@@ -336,7 +415,7 @@ def test_flow_network_from_part_of_a_max_flow(data):
     if not far:
         return
     sources = data.draw(st.sets(st.sampled_from(far), min_size=1), label="sources")
-    base = FlowNetwork(g, sources, sink)
+    base = FlowNetwork(g, sources, (sink,))
     base.max_flow()
     paths = base.disjoint_paths()
     kept = data.draw(st.sets(st.sampled_from(range(len(paths))), min_size=1)
@@ -359,10 +438,10 @@ def test_flow_network_from_part_of_a_max_flow(data):
     if not h.adj[sink].isdisjoint(grown):
         return
     start = [paths[i] for i in sorted(kept)]
-    assert FlowNetwork(h, grown, sink, removed, start).value == sum(
+    assert FlowNetwork(h, grown, (sink,), removed, start).value == sum(
         removed.isdisjoint(path) for path in start)
-    warm = _check_flow(h, grown, sink, removed, start)
-    cold = FlowNetwork(h, grown, sink, removed)
+    warm = _check_flow(h, grown, {sink}, removed, start)
+    cold = FlowNetwork(h, grown, (sink,), removed)
     assert warm.value == cold.max_flow()
     assert warm.closest_cut() == cold.closest_cut()
     assert warm.furthest_cut() == cold.furthest_cut()
@@ -385,11 +464,11 @@ def test_removing_a_furthest_cut_vertex_leaves_the_rest_of_the_cut(data):
     rest = [v for v in range(n) if v != sink and v not in sources]
     removed = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()),
                         label="removed")
-    net = FlowNetwork(g, sources, sink, removed)
+    net = FlowNetwork(g, sources, (sink,), removed)
     value = net.max_flow()
     cut = net.furthest_cut()
     for v in cut:
-        smaller = FlowNetwork(g, sources, sink, removed | {v})
+        smaller = FlowNetwork(g, sources, (sink,), removed | {v})
         assert smaller.max_flow() == value - 1
         assert smaller.furthest_cut() == tuple(w for w in cut if w != v)
 
@@ -407,7 +486,7 @@ def test_closest_cut_with_is_the_closest_constrained_minimum_separator(data):
     if not pairs:
         return
     term = data.draw(st.sampled_from(pairs), label="term")
-    net = FlowNetwork(g, (term.s,), term.t)
+    net = FlowNetwork(g, (term.s,), (term.t,))
     if net.max_flow() == 0:
         return
     assert net.closest_cut_with() == net.closest_cut()
@@ -431,9 +510,9 @@ def test_closest_cut_with_is_the_closest_constrained_minimum_separator(data):
 
 def test_a_maximum_starting_flow_needs_no_augmenting_search():
     g, term = band(4, 12)
-    cold = FlowNetwork(g, (term.s,), term.t)
+    cold = FlowNetwork(g, (term.s,), (term.t,))
     assert cold.max_flow() == 4
-    warm = FlowNetwork(g, (term.s,), term.t, flow=cold.disjoint_paths())
+    warm = FlowNetwork(g, (term.s,), (term.t,), flow=cold.disjoint_paths())
     found = []
     search = warm._search
     def counted_search():
@@ -475,7 +554,7 @@ def test_augmenting_searches_reach_a_small_part_of_a_sparse_random_graph():
     # whole flow.  Grown from both ends, the two sides meet early.
     n = 20_000
     g, term = _two_hamiltonian_cycles(n, 7)
-    net = FlowNetwork(g, (term.s,), term.t)
+    net = FlowNetwork(g, (term.s,), (term.t,))
     reached = []
     search = net._search
     def counted_search():
@@ -516,7 +595,7 @@ def test_flow_and_both_cuts_agree_with_networkx_past_the_oracles():
             while t in g.adj[s]:
                 s, t = rng.sample(range(n), 2)
             term = Terminals(s, t)
-            net = FlowNetwork(g, (s,), t)
+            net = FlowNetwork(g, (s,), (t,))
             assert net.max_flow() == local_node_connectivity(nxg, s, t, auxiliary=aux)
             closest, furthest = net.closest_cut(), net.furthest_cut()
             assert sp.is_separator(g, term, closest) and sp.is_separator(g, term, furthest)
@@ -574,7 +653,7 @@ def test_flow_cuts_and_paths_agree_with_networkx_at_varied_connectivity():
             cases.append((g, s, t))
     values = set()
     for g, s, t in cases:
-        net = _check_flow(g, {s}, t, set())
+        net = _check_flow(g, {s}, {t}, set())
         assert (net.value, net.closest_cut(), net.furthest_cut()) == \
             _networkx_flow_and_cuts(nx, g, s, t)
         values.add(net.value)
