@@ -20,11 +20,11 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
+    _minimal_side,
     _require_separable,
     add_star,  # unused, but bench/test_bench.py patches it here
     canonical,
     component_of,
-    is_minimal_separator,
 )
 from .important import _important_candidates
 
@@ -52,13 +52,12 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
         comp_size, branched = 0, [seeds]
         while True:
             for candidates in branched:
-                for T in candidates:
-                    if T in seen or not is_minimal_separator(G, term, T):
+                for T in candidates:  # one walk tests T and gives its key
+                    if T in seen or (comp := _minimal_side(G.adj, set(T), *term)) is None:
                         continue
                     seen.add(T)
-                    key = pop_key(G, term.s, T)
-                    assert key[0] > comp_size
-                    heappush(queue, key)
+                    assert len(comp) > comp_size
+                    heappush(queue, (len(comp), T))
             if not queue:
                 return
             comp_size, S = heappop(queue)

@@ -216,19 +216,20 @@ def is_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     return term.t not in _component(G.adj, (term.s,), set(members))
 
 
-def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
-    """True iff X separates and both terminal components are full.
+def _minimal_side(adj, xset: AbstractSet[int], s: int, t: int) -> set[int] | None:
+    """s's component of G minus xset if xset is a minimal s,t-separator,
+    that is if it and t's component both have N = xset; else None."""
+    comp_s = _component(adj, (s,), xset)
+    if t in comp_s or _boundary(adj, comp_s) != xset:
+        return None
+    return comp_s if _boundary(adj, _component(adj, (t,), xset)) == xset else None
 
-    A separator is minimal exactly when the components of s and of t in
-    G minus X each have all of X as their neighborhood.
-    """
+
+def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
+    """True iff X separates and both terminal components are full."""
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
-    adj, xset = G.adj, set(members)
-    comp_s = _component(adj, (term.s,), xset)
-    if term.t in comp_s or _boundary(adj, comp_s) != xset:
-        return False
-    return _boundary(adj, _component(adj, (term.t,), xset)) == xset
+    return _minimal_side(G.adj, set(members), *term) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +244,8 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
     is a clique, all of C shares one closed neighborhood, so that clique
     holds N_G[C]; and a vertex of U next to C lies in C, so no other
     component's clique reaches N[u] for u in C.  The resulting graph has
-    exactly the minimal separators of G that avoid U.  Only the
-    neighbourhoods that grow are rebuilt; the rest are shared with G.
+    exactly the minimal separators of G that avoid U.  No query builds it:
+    `FlowNetwork` leaves excluded vertices uncut; the tests compare with it.
     """
     members = set(U)
     _require_ids(G, sorted(members))

@@ -5,20 +5,20 @@ flow is a family of internally vertex-disjoint paths, kept as one `pred`
 and one `succ` per vertex.  The residual graph lives on implicit split
 states in(v) = 2v and out(v) = 2v + 1, with no network built: out(v)
 reaches in(w) of every live neighbour w, and in(v) when v is used; in(v)
-reaches out(v) when v is free and out(pred[v]) when it is used.  Swap
-in- and out-states and read `succ` for `pred`, and the same rules give
-the reversed residual graph.  So one traversal, `_grow`, runs both ways:
-a forward side from the sources' out-states and a backward side from
-the sinks' in-states, each in its own coordinates and built by `_side`.
+reaches out(v) when v is free and out(pred[v]) when it is used.  A vertex
+of `excluded` is never used, so it is uncut; a run of them on a path is
+stored as one step, an edge of `saturate(G, excluded)`.  Swap in- and
+out-states and read `succ` for `pred`, and the same rules give the
+reversed residual graph.  So one traversal, `_grow`, runs both ways: a
+forward side from the sources' out-states and a backward side from the
+sinks' in-states, each in its own coordinates and built by `_side`.
 
 An augmenting search, `_search`, grows the side with the smaller frontier
 until it is the larger one, and splices the two sides at the first state
-both reach (Pohl 1971).  On a sparse random graph with the sink far from
-the sources the sides meet after a small part of the graph, where a
-one-sided search fills nearly all of it; on a band or a cycle they meet
-in the middle and reach about what one side would.  `_cut` reads a cut
-off a finished side: the vertices v with in(v) reached and out(v) not, in
-the side's own coordinates.
+both reach (Pohl 1971): on a sparse random graph with far-apart ends
+they meet early, and on a band they reach what one side would.  `_cut`
+reads a cut off a finished side: the vertices v with in(v) reached and
+out(v) not, in the side's own coordinates.
 
 After a maximum flow, the minimum cuts are exactly the state sets C that
 contain the sources' out-states, avoid every in(sink) and are closed under
@@ -42,7 +42,7 @@ bounds can be checked externally.
 from dataclasses import dataclass, field
 from itertools import compress, count, islice
 
-from .errors import AlreadySeparated, SepenumError
+from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from .graph import (
     Graph,
     Separator,
@@ -51,7 +51,6 @@ from .graph import (
     _require_apart,
     _require_ids,
     canonical,
-    saturate,
 )
 
 _flow_calls = 0
@@ -93,18 +92,20 @@ class FlowNetwork:
     """Flow state for one (source-set, sink-set) cut computation.
 
     Scratch structure: create, run max_flow once, then query cuts/paths.
-    Vertices in `removed`, never a sink, are absent from the graph.
-    Raises TerminalsAdjacent if a sink is a source or next to one.
+    Vertices in `removed`, never a sink, are absent; those in `excluded`,
+    never an end or removed, are uncut.  Raises TerminalsAdjacent if a
+    sink is a source or next to one, or to an excluded vertex joined to one.
 
     `flow` is an optional starting flow, such as a parent's paths, passed
     unchanged.  The one warm-start rule drops each path through a removed
-    vertex, starts each other one at its last leading source and ends it
-    at its first sink; the rest must be a flow of G.  max_flow then only
-    augments, to a cold start's value and cuts, since every maximum flow
-    leaves the same vertices residual-reachable.
+    vertex, starts each other one at its last leading source, ends it at
+    its first sink and splices out the excluded vertices; the rest must be
+    a flow of G with `excluded` saturated.  max_flow then only augments,
+    to a cold start's value and cuts, since every maximum flow leaves the
+    same vertices residual-reachable.
     """
 
-    def __init__(self, G: Graph, sources, sinks, removed=(), flow=()):
+    def __init__(self, G: Graph, sources, sinks, removed=(), flow=(), excluded=()):
         self.G, self.adj = G, G.adj
         removed = self._removed = set(removed)
         _require_ids(G, removed)
@@ -112,8 +113,15 @@ class FlowNetwork:
         if not sink_set.isdisjoint(removed):
             raise SepenumError(f"vertex {G.labels[min(sink_set & removed)]!r} is removed")
         source_set = set(sources) - removed
-        _require_apart(G, source_set, sink_set)
         self.sources = sorted(source_set)
+        excluded, joined = self._excluded, self._joined = set(excluded), set()
+        if excluded:  # joined: those the sources reach through excluded vertices
+            _check_avoids_terminals(G, (*self.sources, *sink_set, *removed), excluded)
+            frontier = source_set
+            while frontier:
+                frontier = set().union(*[G.adj[v] for v in frontier]) & excluded - joined
+                joined |= frontier
+        _require_apart(G, source_set | joined, sink_set)
         pred = self.pred = [-1] * G.n
         succ = self.succ = [-1] * G.n
         # The backward side may step into out(source), where it meets the
@@ -130,12 +138,17 @@ class FlowNetwork:
             while path[i] in source_set:
                 i += 1
             path = path[i - 1:next(compress(count(1), map(is_sink, path)))]
+            path = [v for v in path if v not in excluded] if excluded else path
             assert path[0] in source_set
             for u, w, x in zip(path, path[1:-1], path[2:]):
-                assert w not in source_set and pred[w] < 0 and w in self.adj[u]
+                assert w not in source_set and pred[w] < 0
+                assert w in G.adj[u] or self._is_spliced(u, w)
                 pred[w], succ[w] = u, x
-            assert path[-1] in self.adj[path[-2]]
+            assert path[-1] in G.adj[path[-2]] or self._is_spliced(path[-2], path[-1])
             self.value += 1
+
+    def _is_spliced(self, u: int, w: int) -> bool:  # both ends touch an excluded vertex
+        return bool(self._excluded & self.adj[u] and self._excluded & self.adj[w])
 
     def _side(self, ends, link: list[int]) -> _Side:
         """A new side from `ends`, in its own coordinates: it never enters
@@ -246,6 +259,8 @@ class FlowNetwork:
         while x >= 0:
             path.append(x ^ 1)
             x = bseen[x]
+        if excluded := self._excluded:  # always free: in(e), out(e) in a row
+            path = [x for x in path if x >> 1 not in excluded]
         pred, succ = self.pred, self.succ
         steps = iter(path)
         for x, y in zip(steps, steps):
@@ -309,11 +324,12 @@ class FlowNetwork:
 
     def disjoint_paths(self) -> list[list[int]]:
         """The flow as internally vertex-disjoint source-to-sink paths,
-        each ending at its first sink."""
+        each ending at its first sink; a spliced first step ends next to
+        a joined excluded vertex."""
         pred, succ, sinks = self.pred, self.succ, self.sinks
         paths = []
         for s in self.sources:
-            for w in sorted(self.adj[s]):
+            for w in sorted(self.adj[s].union(*[self.adj[e] for e in self._joined])):
                 if pred[w] == s:
                     path = [s, w]
                     while w not in sinks:
@@ -331,8 +347,8 @@ class CutResult:
     disjoint_paths: list[list[int]] = field(default_factory=list)
 
 
-def _min_cut(G: Graph, sources, sinks, removed=(), flow=()) -> FlowNetwork:
-    net = FlowNetwork(G, sources, sinks, removed, flow)
+def _min_cut(G: Graph, sources, sinks, removed=(), flow=(), excluded=()) -> FlowNetwork:
+    net = FlowNetwork(G, sources, sinks, removed, flow, excluded)
     net.max_flow()
     return net
 
@@ -369,16 +385,10 @@ def min_separator_containing(G: Graph, term: Terminals, I) -> Separator | None:
 
 
 def min_separator_excluding(G: Graph, term: Terminals, U) -> Separator | None:
-    """Smallest minimal s,t-separator avoiding U, or None if none exists.
-
-    Saturating the closed neighborhood of every u in U leaves exactly the
-    minimal separators disjoint from U, so the answer is the canonical
-    minimum cut of the saturated graph.
-    """
-    members = canonical(U)
-    _check_avoids_terminals(G, term, members)
+    """Smallest minimal s,t-separator avoiding U, or None when U joins s to
+    t: the closest minimum cut of G with U uncut (see `FlowNetwork`)."""
     _require_apart(G, {term.s}, {term.t})
-    H = saturate(G, members)
-    if H.has_edge(term.s, term.t):
+    try:
+        return _min_cut(G, (term.s,), (term.t,), excluded=U).closest_cut()
+    except TerminalsAdjacent:
         return None
-    return _min_cut(H, (term.s,), (term.t,)).closest_cut()

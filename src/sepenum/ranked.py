@@ -7,18 +7,14 @@ beyond the include-set, which includes v_1..v_{i-1} and also excludes
 v_i.  Both streams share this queue loop and differ only in how they
 answer a child: find its minimum, or see that it is empty.
 
-The ranked stream answers a cell on G saturated at the excluded set,
-which has exactly the minimal separators of G that avoid it: the cell's
-minimum is that graph's minimum cut minus the include-set, plus the
-include-set.  The graph is rebuilt from G, since saturation composes:
-with H = saturate(G, U), N_H[v] already holds N_G[C] for every component
-C of G[U] next to v, so saturate(H, {v}) makes N_G of v's component in
-G[U + {v}] a clique, and equals saturate(G, U + {v}).
+The ranked stream answers a cell (I included, U excluded) on G with I
+removed and U uncut (see `FlowNetwork`): its minimum is I plus the
+closest minimum cut, as in saturate(G, U) - I, which has the same
+minimum cuts and s-sides.  It is empty when U joins s to t.
 
 Besides its two sets, a queued cell keeps only the disjoint paths of its
-maximum flow.  A child's flow starts from them (see `FlowNetwork`), as its
-graph only gains edges, so it needs one augmenting search per path it
-lacks, plus the last, failed one.
+maximum flow.  A child's flow starts from them (see `FlowNetwork`), so it
+needs one augmenting search per path it lacks, plus the last, failed one.
 
 The ranked stream is sound (every emission separates the original graph),
 duplicate-free, non-decreasing in size, and emits every *minimal*
@@ -38,13 +34,14 @@ size-κ prefix of the ranked stream in the same order.
 from heapq import heappop, heappush
 from typing import Iterator
 
+from .errors import TerminalsAdjacent
 from .graph import (
     Graph,
     Separator,
     Terminals,
     canonical,
     is_separator,
-    saturate,
+    saturate,  # unused, but bench/test_bench.py patches it here
 )
 from .mincut import _min_cut, _terminal_flow
 
@@ -84,12 +81,11 @@ def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     root = _terminal_flow(G, term)
 
     def answer(paths, include, excluded):
-        H = saturate(G, excluded)
-        if H.has_edge(term.s, term.t):
+        try:
+            net = _min_cut(G, (term.s,), (term.t,), include, paths, excluded)
+        except TerminalsAdjacent:  # the excluded set joins s to t
             return None
-        net = _min_cut(H, (term.s,), (term.t,), removed=include, flow=paths)
-        # include is a proper subset of S, the minimum of the parent's cell,
-        # so it cannot separate s from t there, nor in H, which has more edges
+        # include, a proper subset of the parent cell's minimum, cannot separate
         assert net.value > 0, "the include-set alone separates s from t"
         return canonical(net.closest_cut() + tuple(include)), net.disjoint_paths()
 

@@ -115,13 +115,15 @@ def test_rewired_graphs_have_only_minimal_separators_of_g_with_larger_keys():
 def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     g, term = band(3, 30)
     seen, tested, offered = set(), [], []
-    is_minimal, candidates = fpt.is_minimal_separator, fpt._important_candidates
+    minimal_side, candidates = fpt._minimal_side, fpt._important_candidates
 
-    def spy(H, term_, T):
-        assert H is g and T not in seen  # no emission is tested again
-        result = is_minimal(H, term_, T)
+    def spy(adj, T, s, t):
+        assert adj is g.adj and (s, t) == term
+        T = tuple(sorted(T))
+        assert T not in seen  # no emission is tested again
+        result = minimal_side(adj, set(T), s, t)
         tested.append(T)
-        if result:
+        if result is not None:
             seen.add(T)
         return result
 
@@ -133,7 +135,7 @@ def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     def refuse(*args):
         raise AssertionError("list-minimal runs no importance test")
 
-    monkeypatch.setattr(fpt, "is_minimal_separator", spy)
+    monkeypatch.setattr(fpt, "_minimal_side", spy)
     monkeypatch.setattr(fpt, "_important_candidates", counted_candidates)
     monkeypatch.setattr(important, "is_important", refuse)
     monkeypatch.setattr(important, "enumerate_important", refuse)
@@ -177,13 +179,13 @@ def test_sink_set_branchings_run_on_g_and_start_from_the_seed_flow(monkeypatch):
     searches, sink_sets, cold = [0], [0], []
     init, search = mincut.FlowNetwork.__init__, mincut.FlowNetwork._search
 
-    def recording_init(self, G, sources, sinks, removed=(), flow=()):
+    def recording_init(self, G, sources, sinks, removed=(), flow=(), excluded=()):
         assert G is g
         if set(sinks) != {term.s}:
             sink_sets[0] += 1
             if not flow:
                 cold.append(sorted(sources))
-        init(self, G, sources, sinks, removed, flow)
+        init(self, G, sources, sinks, removed, flow, excluded)
 
     def counted_search(self):
         searches[0] += 1
@@ -225,7 +227,7 @@ def test_no_backward_side_enters_the_s_side_of_an_emission(monkeypatch):
     monkeypatch.setattr(mincut.FlowNetwork, "__init__", recording_init)
     monkeypatch.setattr(mincut.FlowNetwork, "_grow", checked_grow)
     for module, name in ((sp.graph, "add_star"), (fpt, "add_star"),
-                         (sp.graph, "saturate"), (mincut, "saturate")):
+                         (sp.graph, "saturate")):
         monkeypatch.setattr(module, name, refuse)
     emitted = 0
     for S in fpt.iter_small_minimal(g, term, 3):

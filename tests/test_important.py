@@ -175,8 +175,8 @@ def test_every_absorb_branch_starts_from_its_parents_paths(monkeypatch):
     starts = []
     init = mincut.FlowNetwork.__init__
 
-    def recording_init(self, G, sources, sink, removed=(), flow=()):
-        init(self, G, sources, sink, removed, flow)
+    def recording_init(self, G, sources, sink, removed=(), flow=(), excluded=()):
+        init(self, G, sources, sink, removed, flow, excluded)
         starts.append(self.value)  # the paths the network kept
 
     monkeypatch.setattr(mincut.FlowNetwork, "__init__", recording_init)

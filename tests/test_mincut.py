@@ -216,6 +216,70 @@ def test_min_separator_excluding_against_brute():
                         assert got is None
 
 
+def test_flow_network_checks_its_excluded_set():
+    g = parse_graph("s a\na b\nb t\ns c\nc t")  # s=0, a=1, b=2, t=3, c=4
+    # an excluded vertex must be in range, and no source, sink or removed one
+    for excluded, match in (((-1,), "out of range"), ((5,), "out of range"),
+                            ((0,), "set s contains"), ((1, 3), "set a,t contains"),
+                            ((2,), "set b contains a terminal of s,t,b")):
+        with pytest.raises(SepenumError, match=match) as raised:
+            FlowNetwork(g, (0,), (3,), removed=(2,), excluded=excluded)
+        assert raised.type is SepenumError
+    with pytest.raises(SepenumError, match="set b contains"):
+        FlowNetwork(g, (0,), (2, 3), excluded=(2,))
+    with pytest.raises(TerminalsAdjacent, match="'t' is in the closed neighbourhood of s,a,b"):
+        FlowNetwork(g, (0,), (3,), excluded=(1, 2))
+    net = FlowNetwork(g, (0,), (3,), excluded=(1,))
+    assert net.max_flow() == 2 and net.closest_cut() == net.furthest_cut() == (2, 4)
+    assert net.disjoint_paths() == [[0, 2, 3], [0, 4, 3]]  # s -> b is spliced
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_an_excluded_set_is_uncut_as_in_the_saturated_graph(data):
+    # With I removed and U excluded, a network on G has the value and both
+    # cuts of a cold one on saturate(G, U) with I removed, and raises
+    # TerminalsAdjacent exactly when s and t are adjacent there.  Its warm
+    # flow comes from a parent with fewer removed and excluded vertices, so
+    # those paths may run through U; its own paths are paths of the
+    # saturated graph that avoid U and I.
+    n = data.draw(st.integers(3, 12), label="n")
+    p = data.draw(st.sampled_from((0.2, 0.35, 0.5)), label="p")
+    g = random_graph(n, p, data.draw(st.integers(0, 10_000), label="seed"))
+    pairs = nonadjacent_pairs(g)
+    if not pairs:
+        return
+    s, t = term = data.draw(st.sampled_from(pairs), label="term")
+    inner = [v for v in range(n) if v not in term]
+    U = data.draw(st.sets(st.sampled_from(inner), max_size=5) if inner else st.just(set()),
+                  label="U")
+    rest = [v for v in inner if v not in U]
+    I = data.draw(st.sets(st.sampled_from(rest), max_size=3) if rest else st.just(set()),
+                  label="I")
+    U0 = {u for u in U if data.draw(st.booleans(), label=f"parent excludes {u}")}
+    I0 = {i for i in I if data.draw(st.booleans(), label=f"parent removes {i}")}
+    try:
+        parent = FlowNetwork(g, (s,), (t,), I0, excluded=U0)
+    except TerminalsAdjacent:
+        paths = []
+    else:
+        parent.max_flow()
+        paths = parent.disjoint_paths()
+        paths = paths[:data.draw(st.integers(0, len(paths)), label="kept")]
+    h = sp.saturate(g, U)
+    if h.has_edge(s, t):
+        with pytest.raises(TerminalsAdjacent):
+            FlowNetwork(g, (s,), (t,), I, paths, U)
+        return
+    net, cold = FlowNetwork(g, (s,), (t,), I, paths, U), FlowNetwork(h, (s,), (t,), I)
+    assert net.max_flow() == cold.max_flow()
+    assert net.closest_cut() == cold.closest_cut()
+    assert net.furthest_cut() == cold.furthest_cut()
+    for path in net.disjoint_paths():
+        assert path[0] == s and path[-1] == t and (U | I).isdisjoint(path)
+        assert all(h.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+
 def test_no_minimal_separator_contains_a_simplicial_vertex():
     # after saturating u, its closed neighborhood is a clique and u can
     # no longer appear in any minimal separator

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from itertools import islice, takewhile
 
@@ -105,7 +106,7 @@ def test_minimum_stream_runs_one_flow_and_no_rewrites(monkeypatch):
     def spy(G, U):
         rewrites.append(U)
         return saturate(G, U)
-    for module in (sepenum.graph, sepenum.mincut, sepenum.ranked):
+    for module in (sepenum.graph, sepenum.ranked):
         monkeypatch.setattr(module, "saturate", spy)
     cases = [band(3, 30)]
     for seed in range(10):
@@ -119,6 +120,30 @@ def test_minimum_stream_runs_one_flow_and_no_rewrites(monkeypatch):
     assert rewrites == [] and emitted[0] == 260
 
 
+def test_ranked_cells_and_min_separator_excluding_build_no_graph(monkeypatch):
+    # Every cell is answered on G with its excluded set uncut: no module
+    # saturates, joins a star or makes a graph with new neighbourhoods.
+    def refuse(*args):
+        raise AssertionError("a query built a graph")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("sepenum")]:
+        for name in ("saturate", "add_star"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Graph, "_with_adj", refuse)
+    cases = [band(3, 30), band(4, 12)]
+    for seed in range(12):
+        g = random_connected_graph(8 + seed % 6, (0.3, 0.45)[seed % 2], 4500 + seed)
+        cases += [(g, term) for term in nonadjacent_pairs(g)[:4]]
+    emitted = empty = 0
+    for g, term in cases:
+        emitted += len(list(islice(sp.iter_ranked_separators(g, term), 300)))
+        inner = [v for v in range(g.n) if v not in term]
+        for U in (inner[::2], inner[1::3], inner[:g.n // 2]):
+            empty += sp.min_separator_excluding(g, term, U) is None
+    assert emitted > 700 and empty > 50
+
+
 def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
     # The children of an emitted S are built while the stream computes its
     # next item.  Child i removes include_i and is handed all the parent's
@@ -128,8 +153,8 @@ def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
     starts = []
     build = FlowNetwork.__init__
 
-    def spy(self, G, sources, sink, removed=(), flow=()):
-        build(self, G, sources, sink, removed, flow)
+    def spy(self, G, sources, sink, removed=(), flow=(), excluded=()):
+        build(self, G, sources, sink, removed, flow, excluded)
         starts.append((len(set(removed)), self.value))
 
     monkeypatch.setattr(FlowNetwork, "__init__", spy)
