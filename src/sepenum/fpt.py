@@ -47,23 +47,22 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
     paths = root.disjoint_paths()
 
     def generate():
-        queue: list[tuple[int, Separator]] = []
+        queue: list[tuple[int, Separator, set[int]]] = []
         seen: set[Separator] = set()
         comp_size, branched = 0, [seeds]
         while True:
             for candidates in branched:
-                for T in candidates:  # one walk tests T and gives its key
+                for T in candidates:  # one walk tests T and gives its s-side
                     if T in seen or (comp := _minimal_side(G.adj, set(T), *term)) is None:
                         continue
                     seen.add(T)
                     assert len(comp) > comp_size
-                    heappush(queue, (len(comp), T))
+                    heappush(queue, (len(comp), T, comp))  # T is unique: no set compares
             if not queue:
                 return
-            comp_size, S = heappop(queue)
+            comp_size, S, side = heappop(queue)
             assert len(S) <= k
             yield S
-            side = component_of(G, S, term.s)
             branched = (_important_candidates(G, term.t, side | {v}, k, paths)[0]
                         for v in S if term.t not in G.adj[v])
 

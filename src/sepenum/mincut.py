@@ -153,7 +153,8 @@ class FlowNetwork:
     def _side(self, ends, link: list[int]) -> _Side:
         """A new side from `ends`, in its own coordinates: it never enters
         the in-state of an end or a removed vertex, and seeds only the ends
-        with a neighbour outside those, so a sink set costs its boundary."""
+        with a neighbour outside those.  Its searches cost a sink set's
+        boundary; setting it up is linear in the set."""
         adj, blocked = self.adj, self._removed.union(ends)
         seen = [-2] * (2 * len(adj))
         for v in blocked:
@@ -286,6 +287,7 @@ class FlowNetwork:
     def closest_cut(self) -> Separator:
         """Minimum cut with inclusion-minimal source side: the forward side
         of max_flow's final, failed search, finished."""
+        assert self._ran
         self._grow(self._fwd, self._bwd.seen)
         return self._cut(self._fwd)
 
@@ -302,6 +304,7 @@ class FlowNetwork:
         assert self._ran
         _check_avoids_terminals(self.G, (*self.sources, *self.sinks), include)
         _require_ids(self.G, excluded)
+        include = set(include)  # in(i) is seeded once, so `_cut` reads i once
         side = self._side(self.sources, self.pred)
         side.start([*side.seeds, *(2 * i for i in include)])
         infeasible = [-2] * len(side.seen)  # in the swapped coordinates
@@ -319,6 +322,7 @@ class FlowNetwork:
         swapped coordinates exactly when out(v) reaches an in(sink) in the
         flow.
         """
+        assert self._ran
         self._grow(self._bwd, self._fwd.seen)
         return self._cut(self._bwd)
 

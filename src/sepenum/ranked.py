@@ -4,31 +4,31 @@ A cell of Lawler's partition is two sets: its separators contain the
 include-set and avoid the excluded set.  After emitting S, the minimum of
 its cell, the rest of the cell splits into one child per vertex v_i of S
 beyond the include-set, which includes v_1..v_{i-1} and also excludes
-v_i.  Both streams share this queue loop and differ only in how they
-answer a child: find its minimum, or see that it is empty.
+v_i.  Both streams share this queue loop and its root flow, and differ
+only in what they do with a child that has no separator of size κ, the
+s,t-connectivity.
 
-The ranked stream answers a cell (I included, U excluded) on G with I
-removed and U uncut (see `FlowNetwork`): its minimum is I plus the
-closest minimum cut, as in saturate(G, U) - I, which has the same
-minimum cuts and s-sides.  It is empty when U joins s to t.
+After the root's maximum flow, the size-κ separators of a cell are the
+closed sets of the root's residual graph under the cell's constraints,
+and `FlowNetwork.closest_cut_with` returns the closest of them, or None,
+with no further flow and in O(n+m).  Only a child of a size-κ cell can
+have size κ, so each such child asks that closure first.  minimum-all
+drops every other child; the ranked stream answers it (I included, U
+excluded) on G with I removed and U uncut (see `FlowNetwork`): its
+minimum is I plus the closest minimum cut, as in saturate(G, U) - I,
+which has the same minimum cuts and s-sides.  It is empty when U joins
+s to t.
 
 Besides its two sets, a queued cell keeps only the disjoint paths of its
-maximum flow.  A child's flow starts from them (see `FlowNetwork`), so it
-needs one augmenting search per path it lacks, plus the last, failed one.
+maximum flow; a size-κ cell keeps the root's.  A child's flow starts
+from them (see `FlowNetwork`), so it needs one augmenting search per
+path it lacks, plus the last, failed one.
 
 The ranked stream is sound (every emission separates the original graph),
 duplicate-free, non-decreasing in size, and emits every *minimal*
 separator; supersets of an emitted separator are pruned by construction,
-so the stream is not the full separator family.
-
-The minimum-only stream answers each cell on the root's residual graph:
-after one maximum flow, the minimum separators that contain the
-include-set and avoid the excluded set are the closed sets of that graph
-under the cell's constraints, and `FlowNetwork.closest_cut_with` returns
-the closest of them or None: no paths, no further flow call, and
-O(|S|·(n+m)) per emission.  In every cell both streams pick the minimum
-separator with the inclusion-minimal s-side, so minimum-all emits the
-size-κ prefix of the ranked stream in the same order.
+so the stream is not the full separator family.  minimum-all is its
+size-κ prefix, in the same order, from one flow call.
 """
 
 from heapq import heappop, heappush
@@ -43,7 +43,7 @@ from .graph import (
     is_separator,
     saturate,  # unused, but bench/test_bench.py patches it here
 )
-from .mincut import _min_cut, _terminal_flow
+from .mincut import FlowNetwork, _min_cut, _terminal_flow
 
 
 def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
@@ -56,18 +56,21 @@ def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
             prefix.append(v)
 
 
-def _lawler(G: Graph, term: Terminals, first, answer) -> Iterator[Separator]:
-    """The queue loop.  `first` is the root's (minimum, kept); a child's is
-    answer(its parent's kept, include, excluded), or None if it is empty.
-    The cells partition the separators, so no two share a key (|S|, S)."""
-    S, kept = first
-    queue = [((len(S), S), frozenset(), frozenset(), kept)]
+def _lawler(G: Graph, term: Terminals, root: FlowNetwork, flow) -> Iterator[Separator]:
+    """The queue loop from the root's maximum flow.  A child of a size-κ
+    cell, one that kept the root's paths, is the root's closure if it has
+    one; any other child is flow(its parent's kept, include, excluded),
+    or None if it is empty.  The cells partition the separators, so no
+    two share a key (|S|, S)."""
+    S, paths = root.closest_cut(), root.disjoint_paths()
+    queue = [((len(S), S), frozenset(), frozenset(), paths)]
     while queue:
         (_, S), include, excluded, kept = heappop(queue)
         yield S
         for v, include_i in _split(S, include):
             excluded_v = excluded | {v}
-            child = answer(kept, include_i, excluded_v)
+            T = root.closest_cut_with(include_i, excluded_v) if kept is paths else None
+            child = (T, paths) if T is not None else flow(kept, include_i, excluded_v)
             if child is None:
                 continue
             T, kept_i = child
@@ -78,9 +81,8 @@ def _lawler(G: Graph, term: Terminals, first, answer) -> Iterator[Separator]:
 
 def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield s,t-separators in non-decreasing cardinality, no duplicates."""
-    root = _terminal_flow(G, term)
 
-    def answer(paths, include, excluded):
+    def flow(paths, include, excluded):
         try:
             net = _min_cut(G, (term.s,), (term.t,), include, paths, excluded)
         except TerminalsAdjacent:  # the excluded set joins s to t
@@ -89,16 +91,10 @@ def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
         assert net.value > 0, "the include-set alone separates s from t"
         return canonical(net.closest_cut() + tuple(include)), net.disjoint_paths()
 
-    return _lawler(G, term, (root.closest_cut(), root.disjoint_paths()), answer)
+    return _lawler(G, term, _terminal_flow(G, term), flow)
 
 
 def iter_minimum_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
     """Yield exactly the minimum-cardinality s,t-separators, each once, in
     the order of the ranked stream; one flow call in all."""
-    root = _terminal_flow(G, term)
-
-    def answer(_, include, excluded):
-        T = root.closest_cut_with(include, excluded)
-        return None if T is None else (T, None)
-
-    return _lawler(G, term, (root.closest_cut(), None), answer)
+    return _lawler(G, term, _terminal_flow(G, term), lambda *cell: None)

@@ -97,6 +97,24 @@ def test_flow_network_range_checks_its_vertex_arguments():
             FlowNetwork(P4.graph, (0,), (3,), removed=removed)
 
 
+def test_closest_cut_with_reads_a_repeated_include_vertex_once():
+    net = FlowNetwork(THETA.graph, (0,), (2,))  # s=0, a=1, t=2, b=3, c=4
+    net.max_flow()
+    assert net.closest_cut_with((1,)) == net.closest_cut_with((1, 1)) == (1, 3)
+    assert net.closest_cut_with((4, 1, 4), (3, 3)) == (1, 4)
+
+
+@pytest.mark.skipif(not __debug__, reason="the guard is an assert")
+def test_cuts_are_read_only_after_max_flow():
+    for g, term in ((THETA.graph, THETA.terminals), band(3, 4)):
+        cold = FlowNetwork(g, (term.s,), (term.t,))
+        warm = FlowNetwork(g, (term.s,), (term.t,), flow=sp.kappa(g, term).disjoint_paths)
+        for net in (cold, warm):
+            for read in (net.closest_cut, net.furthest_cut, net.closest_cut_with):
+                with pytest.raises(AssertionError):
+                    read()
+
+
 def test_flow_network_rejects_a_removed_sink():
     g, term = THETA.graph, THETA.terminals  # s=0, a=1, t=2, b=3, c=4
     for removed in ((term.t,), (1, term.t)):

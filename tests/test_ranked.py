@@ -145,24 +145,30 @@ def test_ranked_cells_and_min_separator_excluding_build_no_graph(monkeypatch):
 
 
 def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
-    # The children of an emitted S are built while the stream computes its
-    # next item.  Child i removes include_i and is handed all the parent's
-    # paths; the network keeps those that avoid include_i, and each path
-    # crosses S - include in one vertex.  The minimum-only stream builds no
-    # child flows at all.
-    starts = []
-    build = FlowNetwork.__init__
+    # The children of an emitted S are answered while the stream computes
+    # its next item.  A child that has a minimum separator is the root's
+    # closure and builds no network.  Any other child i removes include_i
+    # and is handed all the parent's paths; the network keeps those that
+    # avoid include_i, and each path crosses S - include in one vertex.
+    starts, closed = [], []
+    build, closure = FlowNetwork.__init__, FlowNetwork.closest_cut_with
 
     def spy(self, G, sources, sink, removed=(), flow=(), excluded=()):
         build(self, G, sources, sink, removed, flow, excluded)
         starts.append((len(set(removed)), self.value))
 
+    def closure_spy(self, include=(), excluded=()):
+        T = closure(self, include, excluded)
+        closed.append(T is not None)
+        return T
+
     monkeypatch.setattr(FlowNetwork, "__init__", spy)
+    monkeypatch.setattr(FlowNetwork, "closest_cut_with", closure_spy)
     cases = [(*band(3, 30), 200)]
     for seed in range(12):
         g = random_connected_graph(6 + seed % 4, (0.3, 0.45)[seed % 2], 4100 + seed)
         cases += [(g, term, None) for term in nonadjacent_pairs(g)]
-    children = 0
+    flows = children = 0
     for g, term, limit in cases:
         starts.clear()
         stream = islice(sp.iter_ranked_separators(g, term), limit)
@@ -170,9 +176,37 @@ def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
         starts.clear()
         parent = next(stream)
         while parent is not None:
-            S = next(stream, None)  # builds the children of parent
+            S = next(stream, None)  # answers the children of parent
             assert all(warm == len(parent) - include for include, warm in starts)
-            children += len(starts)
+            flows += len(starts)
+            children += len(starts) + sum(closed)
             starts.clear()
+            closed.clear()
             parent = S
-    assert children > 500
+    assert children > 500 and flows > 250
+
+
+def test_children_of_minimum_cells_run_a_flow_only_past_kappa(monkeypatch):
+    # A child of a size-κ cell that has a size-κ separator is answered by
+    # the root's closure, so every network built under such a cell finds
+    # a larger minimum.
+    built = []
+    build = FlowNetwork.__init__
+
+    def spy(self, G, sources, sink, removed=(), flow=(), excluded=()):
+        build(self, G, sources, sink, removed, flow, excluded)
+        built.append((self, len(set(removed))))
+
+    monkeypatch.setattr(FlowNetwork, "__init__", spy)
+    for g, term in (band(3, 30), band(4, 12)):
+        stream = sp.iter_ranked_separators(g, term)
+        parent = next(stream)
+        kappa = len(parent)
+        built.clear()
+        flows = 0
+        while len(parent) == kappa:
+            parent = next(stream)  # answers the children of the last size-κ cell
+            assert all(net.value + include > kappa for net, include in built)
+            flows += len(built)
+            built.clear()
+        assert flows > 0
