@@ -3,7 +3,7 @@
 Provides minimal-separator enumeration with a size bound and bounded
 delay, important-separator enumeration, minimum-cut machinery with
 inclusion/exclusion constraints, ranked (by cardinality) enumeration,
-and brute-force oracles for validating all of the above at small scale.
+and the chordless-path witness construction.
 """
 
 from .errors import (
@@ -12,13 +12,14 @@ from .errors import (
     TerminalsAdjacent,
     UnknownLabel,
 )
-from .fpt import iter_small_minimal, pop_key
+from .fpt import iter_small_minimal
 from .graph import (
     Graph,
     Separator,
     Terminals,
     add_star,
     canonical,
+    chordless_path_through,
     chordless_path_to_separator,
     close_separator,
     component_of,
@@ -36,11 +37,5 @@ from .mincut import (
     kappa,
     min_separator_containing,
     min_separator_excluding,
-)
-from .oracle import (
-    brute_chordless_paths_through,
-    brute_important,
-    brute_minimal_separators,
-    brute_minimum_separators,
 )
 from .ranked import iter_minimum_separators, iter_ranked_separators

@@ -25,6 +25,7 @@ from .graph import (
     Separator,
     Terminals,
     canonical,
+    chordless_path_through,
     chordless_path_to_separator,
     is_minimal_separator,
     is_separator,
@@ -32,7 +33,6 @@ from .graph import (
 )
 from .important import _iter_important, is_important
 from .mincut import kappa
-from .oracle import brute_chordless_paths_through
 from .ranked import iter_minimum_separators, iter_ranked_separators
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     common(witness)
     witness.add_argument("-v", dest="vertex", required=True, help="vertex label")
     witness.add_argument("--max-n", type=int, default=20,
-                         help="size guard for the exhaustive path search")
+                         help="size guard for the path search, exponential at worst")
     return parser
 
 
@@ -168,11 +168,13 @@ def _run(args) -> int:
     v = G.vertex(args.vertex)
     if v in term:
         raise UnknownLabel("witness vertex must differ from the terminals")
-    paths = brute_chordless_paths_through(G, term, v, max_n=args.max_n)
-    if not paths:
+    if G.n > args.max_n:
+        raise SepenumError(f"n={G.n} exceeds --max-n {args.max_n}")
+    path = chordless_path_through(G, term, v)
+    if path is None:
         print(json.dumps({"separator": None}) if args.json else "none", flush=True)
         return EXIT_OK
-    _emit(G, chordless_path_to_separator(G, term, paths[0], v), args.json)
+    _emit(G, chordless_path_to_separator(G, term, path, v), args.json)
     return EXIT_OK
 
 

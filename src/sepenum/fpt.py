@@ -23,20 +23,8 @@ from .graph import (
     _minimal_side,
     _require_separable,
     add_star,  # unused, but bench/test_bench.py patches it here
-    canonical,
-    component_of,
 )
 from .important import _important_candidates
-
-
-def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
-    """Queue key of a separator: (size of s's component in G - S, members).
-
-    Cardinality extends strict component inclusion, so this is a total
-    order refining the enumeration order.
-    """
-    members = canonical(S)
-    return (len(component_of(G, members, s)), members)
 
 
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:

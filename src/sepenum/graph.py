@@ -354,6 +354,44 @@ def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
                 raise SepenumError(f"chord ({G.labels[path[i]]},{G.labels[path[j]]})")
 
 
+def chordless_path_through(G: Graph, term: Terminals, v: int) -> list[int] | None:
+    """The first chordless s,t-path through v in depth-first order, or None.
+
+    The search grows a path from s, trying the neighbours of its last
+    vertex in ascending id order, and extends it only by a vertex off the
+    path that is next to no path vertex before the last; so every path it
+    builds is chordless.  It stops at the first path that reaches t with v
+    on it.  Such a path exists iff some minimal s,t-separator contains v.
+    """
+    _require_ids(G, (*term, v))
+    if v in term:
+        raise SepenumError(f"vertex {G.labels[v]!r} is a terminal")
+    s, t = term
+    adj = G.adj
+    path, on_path = [s], {s}
+    near = [0] * G.n  # near[x]: the path vertices before the last next to x
+    frames = [iter(sorted(adj[s]))]  # per path vertex, its untried neighbours
+    while frames:
+        w = next((w for w in frames[-1] if w not in on_path and not near[w]), None)
+        if w is None:  # backtrack
+            frames.pop()
+            on_path.remove(path.pop())
+            if path:
+                for x in adj[path[-1]]:
+                    near[x] -= 1
+            continue
+        for x in adj[path[-1]]:
+            near[x] += 1
+        path.append(w)
+        on_path.add(w)
+        if w == t and v in on_path:
+            return path
+        # a path ends at t, and a vertex next to an earlier one never joins it
+        dead = w == t or near[t] or (v not in on_path and near[v])
+        frames.append(iter(() if dead else sorted(adj[w])))
+    return None
+
+
 def chordless_path_to_separator(
     G: Graph, term: Terminals, path: list[int], v: int
 ) -> Separator:

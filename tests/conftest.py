@@ -6,12 +6,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from sepenum.graph import Graph, Terminals, component_of, parse_graph
-from sepenum.oracle import (
-    brute_important,
-    brute_minimal_separators,
-    brute_minimum_separators,
-)
+from sepenum.graph import Graph, Separator, Terminals, canonical, component_of, parse_graph
+
+from oracle import brute_important, brute_minimal_separators, brute_minimum_separators
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,16 @@ def grid(side: int) -> tuple[Graph, Terminals]:
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
     return Graph(side * side, edges), Terminals(0, side * side - 1)
+
+
+def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
+    """Queue key of a separator: (size of s's component in G - S, members).
+
+    Cardinality extends strict component inclusion, so this is a total
+    order refining the order in which `iter_small_minimal` emits.
+    """
+    members = canonical(S)
+    return (len(component_of(G, members, s)), members)
 
 
 def nonadjacent_pairs(G: Graph):

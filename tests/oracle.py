@@ -9,8 +9,8 @@ the n <= 16 the guards allow) and runs its own reachability over them.
 
 from itertools import combinations
 
-from .errors import SepenumError
-from .graph import Graph, Separator, Terminals
+from sepenum.errors import SepenumError
+from sepenum.graph import Graph, Separator, Terminals
 
 
 def _guard(G: Graph, term: Terminals, limit: int, *vertices: int) -> None:

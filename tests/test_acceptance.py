@@ -15,7 +15,12 @@ import sepenum as sp
 from sepenum.graph import Terminals
 from sepenum.mincut import flow_call_count
 
-from conftest import nonadjacent_pairs, random_connected_graph
+from conftest import nonadjacent_pairs, pop_key, random_connected_graph
+from oracle import (
+    brute_chordless_paths_through,
+    brute_minimal_separators,
+    brute_minimum_separators,
+)
 
 
 def _k_values(n: int):
@@ -49,7 +54,7 @@ def test_criterion_1_minimal_completeness(small_minimal_runs, cache):
 
 def test_criterion_2_emission_order(small_minimal_runs):
     for G, term, _, emitted, _ in small_minimal_runs:
-        sizes = [sp.pop_key(G, term.s, S)[0] for S in emitted]
+        sizes = [pop_key(G, term.s, S)[0] for S in emitted]
         assert sizes == sorted(sizes)
     print("\nPASS criterion 2: |C_s| emission order non-decreasing")
 
@@ -102,8 +107,8 @@ def test_criterion_6_saturation_exclusion():
             continue
         term = pairs[rng.randrange(len(pairs))]
         U = tuple(v for v in range(n) if v not in term and rng.random() < 0.35)
-        got = sp.brute_minimal_separators(sp.saturate(G, U), term)
-        want = {X for X in sp.brute_minimal_separators(G, term) if not set(X) & set(U)}
+        got = brute_minimal_separators(sp.saturate(G, U), term)
+        want = {X for X in brute_minimal_separators(G, term) if not set(X) & set(U)}
         assert got == want, (n, term, U)
         instances += 1
     print("\nPASS criterion 6: saturation preserves exactly the U-avoiding minimal separators (100 instances)")
@@ -121,7 +126,7 @@ def test_criterion_7_inclusion_characterization():
         term = pairs[rng.randrange(len(pairs))]
         I = tuple(v for v in range(n) if v not in term and rng.random() < 0.3)
         got = sp.min_separator_containing(G, term, I)
-        minimum = sp.brute_minimum_separators(G, term)
+        minimum = brute_minimum_separators(G, term)
         has_superset = any(set(I) <= set(X) for X in minimum)
         assert (got is not None) == has_superset, (n, term, I)
         if got is not None:
@@ -167,14 +172,16 @@ def test_criterion_10_chordless_path_equivalence():
         if not pairs:
             continue
         term = pairs[rng.randrange(len(pairs))]
-        minimal = sp.brute_minimal_separators(G, term)
+        minimal = brute_minimal_separators(G, term)
         for v in range(n):
             if v in term:
                 continue
-            paths = sp.brute_chordless_paths_through(G, term, v)
-            assert bool(paths) == any(v in X for X in minimal), (n, term, v)
-            if paths:
-                sep = sp.chordless_path_to_separator(G, term, paths[0], v)
+            ref = brute_chordless_paths_through(G, term, v)
+            path = sp.chordless_path_through(G, term, v)
+            assert path == (ref[0] if ref else None), (n, term, v)
+            assert (path is not None) == any(v in X for X in minimal), (n, term, v)
+            if path:
+                sep = sp.chordless_path_to_separator(G, term, path, v)
                 assert v in sep
                 assert sp.is_minimal_separator(G, term, sep)
         instances += 1

@@ -179,6 +179,16 @@ def test_witness_json_none(capsys, tmp_path):
     assert json.loads(out) == {"separator": None}
 
 
+def test_witness_on_a_path_longer_than_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "long.edges"
+    labels = ["s", *map(str, range(1, 1500)), "t"]
+    path.write_text("".join(f"{a} {b}\n" for a, b in zip(labels, labels[1:])))
+    code, out, _ = run(capsys, "witness", str(path), "-s", "s", "-t", "t",
+                       "-v", "700", "--max-n", "5000")
+    assert code == 0
+    assert out == "700\n"
+
+
 def test_exit_codes(capsys, tmp_path):
     # unknown label
     code, _, err = run(capsys, "minsep", P4, "-s", "s", "-t", "zz")
@@ -218,9 +228,9 @@ def test_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, "ranked", P4, "-s", "s", "-t", "t", "--limit", "-1")
     assert code == 1
     # witness guard: graph larger than --max-n
-    code, _, _ = run(capsys, "witness", P4, "-s", "s", "-t", "t", "-v", "a",
-                     "--max-n", "2")
-    assert code == 1
+    code, _, err = run(capsys, "witness", P4, "-s", "s", "-t", "t", "-v", "a",
+                       "--max-n", "2")
+    assert code == 1 and err == "error: n=4 exceeds --max-n 2\n"
 
 
 def test_parse_errors_and_unknown_labels_keep_their_messages(capsys, monkeypatch):

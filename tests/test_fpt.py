@@ -12,9 +12,11 @@ from conftest import (
     THETA,
     band,
     nonadjacent_pairs,
+    pop_key,
     random_connected_graph,
     random_graph,
 )
+from oracle import brute_minimal_separators
 
 
 def test_trace_p4():
@@ -48,17 +50,17 @@ def test_invalid_k_and_terminals():
 
 def test_pop_key_examples():
     th = THETA.graph
-    assert sp.pop_key(th, 0, (1, 3)) == (1, (1, 3))
-    assert sp.pop_key(th, 0, (1, 4)) == (2, (1, 4))
-    assert sp.pop_key(P4.graph, 0, (2,)) == (2, (2,))
+    assert pop_key(th, 0, (1, 3)) == (1, (1, 3))
+    assert pop_key(th, 0, (1, 4)) == (2, (1, 4))
+    assert pop_key(P4.graph, 0, (2,)) == (2, (2,))
 
 
 def test_pop_key_range_checks_its_arguments():
     for s, S in ((-1, (1,)), (9, (1,)), (0, (-1,)), (0, (1, 4))):
         with pytest.raises(SepenumError, match="out of range"):
-            sp.pop_key(P4.graph, s, S)
+            pop_key(P4.graph, s, S)
     with pytest.raises(SepenumError, match="'s' is removed"):
-        sp.pop_key(P4.graph, 0, (0, 2))
+        pop_key(P4.graph, 0, (0, 2))
 
 
 def test_matches_brute_force_each_exactly_once():
@@ -66,12 +68,12 @@ def test_matches_brute_force_each_exactly_once():
         n = 5 + seed % 6
         g = random_connected_graph(n, (0.2, 0.35, 0.5)[seed % 3], 1300 + seed)
         for term in nonadjacent_pairs(g):
-            minimal = sp.brute_minimal_separators(g, term)
+            minimal = brute_minimal_separators(g, term)
             for k in (1, (n + 1) // 2, n):
                 got = list(sp.iter_small_minimal(g, term, k))
                 assert len(got) == len(set(got))
                 assert set(got) == {X for X in minimal if len(X) <= k}
-                comp_sizes = [sp.pop_key(g, term.s, X)[0] for X in got]
+                comp_sizes = [pop_key(g, term.s, X)[0] for X in got]
                 assert comp_sizes == sorted(comp_sizes)
 
 
@@ -98,16 +100,16 @@ def test_rewired_graphs_have_only_minimal_separators_of_g_with_larger_keys():
         n = 5 + seed % 8
         g = random_graph(n, (0.25, 0.35, 0.5)[seed % 3], 1500 + seed)
         for term in nonadjacent_pairs(g):
-            minimal = sp.brute_minimal_separators(g, term)
+            minimal = brute_minimal_separators(g, term)
             for S in minimal:
-                comp_size = sp.pop_key(g, term.s, S)[0]
+                comp_size = pop_key(g, term.s, S)[0]
                 for v in S:
                     if term.t in g.adj[v]:
                         continue
                     h = sp.add_star(g, term.s, (set(S) | g.adj[v]) - {term.s})
-                    for T in sp.brute_minimal_separators(h, term):
+                    for T in brute_minimal_separators(h, term):
                         assert T in minimal and v not in T
-                        assert sp.pop_key(g, term.s, T)[0] > comp_size
+                        assert pop_key(g, term.s, T)[0] > comp_size
                         checked += 1
     assert checked > 1000
 

@@ -17,6 +17,13 @@ from conftest import (
     random_connected_graph,
     random_graph,
 )
+import oracle
+from oracle import (
+    brute_chordless_paths_through,
+    brute_important,
+    brute_minimal_separators,
+    brute_minimum_separators,
+)
 
 
 def ids(G, labels: str):
@@ -240,10 +247,10 @@ def test_saturate_fixpoint_filters_overlapping_neighborhoods():
     U = (1, 5)
     extra = [(x, y) for u in U for x in g.adj[u] | {u} for y in g.adj[u] | {u} if x < y]
     one_pass = Graph(g.n, [*g.edges(), *extra], g.labels)
-    assert (1, 4, 5, 6) in sp.brute_minimal_separators(one_pass, term)
+    assert (1, 4, 5, 6) in brute_minimal_separators(one_pass, term)
     fixed = sp.saturate(g, U)
-    want = {X for X in sp.brute_minimal_separators(g, term) if not set(X) & set(U)}
-    assert sp.brute_minimal_separators(fixed, term) == want
+    want = {X for X in brute_minimal_separators(g, term) if not set(X) & set(U)}
+    assert brute_minimal_separators(fixed, term) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,8 +261,8 @@ def test_saturate_family_matches_filtered_family(seed):
     if g.has_edge(*term):
         return
     U = tuple(v for v in range(1, g.n - 1) if (seed >> v) & 1)
-    got = sp.brute_minimal_separators(sp.saturate(g, U), term)
-    want = {X for X in sp.brute_minimal_separators(g, term) if not set(X) & set(U)}
+    got = brute_minimal_separators(sp.saturate(g, U), term)
+    want = {X for X in brute_minimal_separators(g, term) if not set(X) & set(U)}
     assert got == want
 
 
@@ -370,6 +377,7 @@ _TERMINAL_QUERIES = {
     "is_minimal_separator": lambda g, term: sp.is_minimal_separator(g, term, ()),
     "close_separator": sp.close_separator,
     "minimalize": lambda g, term: sp.minimalize(g, term, (1, 3)),
+    "chordless_path_through": lambda g, term: sp.chordless_path_through(g, term, 1),
     "chordless_path_to_separator":
         lambda g, term: sp.chordless_path_to_separator(g, term, [0, 1, 2], 1),
     "kappa": sp.kappa,
@@ -380,27 +388,51 @@ _TERMINAL_QUERIES = {
     "iter_small_minimal": lambda g, term: sp.iter_small_minimal(g, term, 2),
     "iter_ranked_separators": sp.iter_ranked_separators,
     "iter_minimum_separators": sp.iter_minimum_separators,
-    "brute_minimal_separators": sp.brute_minimal_separators,
-    "brute_important": lambda g, term: sp.brute_important(g, term, 2),
-    "brute_minimum_separators": sp.brute_minimum_separators,
-    "brute_chordless_paths_through":
-        lambda g, term: sp.brute_chordless_paths_through(g, term, 1),
 }
+# the oracles in tests/oracle.py, the references the queries are checked against
+_ORACLE_QUERIES = {
+    "brute_minimal_separators": brute_minimal_separators,
+    "brute_important": lambda g, term: brute_important(g, term, 2),
+    "brute_minimum_separators": brute_minimum_separators,
+    "brute_chordless_paths_through":
+        lambda g, term: brute_chordless_paths_through(g, term, 1),
+}
+_QUERIES = {**_TERMINAL_QUERIES, **_ORACLE_QUERIES}
+
+
+def _takes_terminals(module) -> set[str]:
+    return {
+        name for name in dir(module)
+        if inspect.isfunction(getattr(module, name)) and not name.startswith("_")
+        and any(p.annotation is Terminals
+                for p in inspect.signature(getattr(module, name)).parameters.values())
+    }
 
 
 def test_terminal_queries_cover_every_public_function_that_takes_terminals():
-    takes = {
-        name for name in dir(sp)
-        if inspect.isfunction(getattr(sp, name))
-        and any(p.annotation is Terminals
-                for p in inspect.signature(getattr(sp, name)).parameters.values())
-    }
-    assert takes == set(_TERMINAL_QUERIES)
+    assert _takes_terminals(sp) == set(_TERMINAL_QUERIES)
+    assert _takes_terminals(oracle) == set(_ORACLE_QUERIES)
 
 
-@pytest.mark.parametrize("name", sorted(_TERMINAL_QUERIES))
+def test_the_package_exports_only_the_engine():
+    public = sorted(name for name, value in vars(sp).items()
+                    if not name.startswith("_") and not inspect.ismodule(value))
+    assert public == [
+        "AlreadySeparated", "CutResult", "FlowNetwork", "Graph", "Separator",
+        "SepenumError", "Terminals", "TerminalsAdjacent", "UnknownLabel",
+        "add_star", "canonical", "chordless_path_through",
+        "chordless_path_to_separator", "close_separator", "component_of",
+        "enumerate_important", "flow_call_count", "is_important",
+        "is_minimal_separator", "is_separator", "iter_minimum_separators",
+        "iter_ranked_separators", "iter_small_minimal", "kappa",
+        "min_separator_containing", "min_separator_excluding", "minimalize",
+        "parse_graph", "saturate",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_QUERIES))
 def test_equal_terminals_raise_terminals_adjacent(name):
-    query = _TERMINAL_QUERIES[name]
+    query = _QUERIES[name]
     query(THETA.graph, THETA.terminals)  # the call itself is well formed
     for make in (lambda: Terminals(0, 0), lambda: Terminals(1, 1),
                  lambda: THETA.terminals._replace(t=0)):
@@ -408,9 +440,9 @@ def test_equal_terminals_raise_terminals_adjacent(name):
             query(THETA.graph, make())
 
 
-@pytest.mark.parametrize("name", sorted(_TERMINAL_QUERIES))
+@pytest.mark.parametrize("name", sorted(_QUERIES))
 def test_out_of_range_terminals_raise(name):
-    query, n = _TERMINAL_QUERIES[name], THETA.graph.n
+    query, n = _QUERIES[name], THETA.graph.n
     for s, t, bad in ((0, n, n), (0, -1, -1), (n, 2, n), (-1, 2, -1)):
         with pytest.raises(SepenumError, match=f"vertex id {bad} out of range for n={n}"):
             query(THETA.graph, Terminals(s, t))
@@ -429,7 +461,7 @@ def test_out_of_range_vertex_arguments_raise(bad):
         lambda: sp.add_star(g, 0, (bad,)),
         lambda: sp.chordless_path_to_separator(g, term, [0, bad, 2, 3], 2),
         lambda: sp.chordless_path_to_separator(g, term, [0, 1, 2, 3], bad),
-        lambda: sp.brute_chordless_paths_through(g, term, bad),
+        lambda: sp.chordless_path_through(g, term, bad),
     ):
         with pytest.raises(SepenumError, match=f"vertex id {bad} out of range for n=4"):
             query()
@@ -452,7 +484,7 @@ def test_close_separator_is_unique_minimal_inside_ns(seed):
         assert sp.is_minimal_separator(g, term, close)
         inside = {
             X
-            for X in sp.brute_minimal_separators(g, term)
+            for X in brute_minimal_separators(g, term)
             if set(X) <= set(g.neighbors(term.s))
         }
         assert inside == {close}
@@ -474,7 +506,7 @@ def test_minimalize_rejects_non_separator():
 def test_minimalize_returns_minimal_subset():
     g = random_connected_graph(9, 0.35, 7)
     for term in nonadjacent_pairs(g):
-        for X in sp.brute_minimal_separators(g, term):
+        for X in brute_minimal_separators(g, term):
             for extra in range(g.n):
                 if extra in term or extra in X:
                     continue
@@ -504,6 +536,9 @@ def test_chordless_path_validation():
         sp.chordless_path_to_separator(g, term, [0, 2, 3], 2)
     with pytest.raises(SepenumError, match="vertex 's' is a terminal"):
         sp.chordless_path_to_separator(g, term, [0, 1, 2, 3], 0)
+    for v in term:
+        with pytest.raises(SepenumError, match="is a terminal"):
+            sp.chordless_path_through(g, term, v)
     th = THETA.graph
     with pytest.raises(SepenumError, match="vertex 'b' not on path"):
         sp.chordless_path_to_separator(th, THETA.terminals, [0, 1, 2], th.vertex("b"))
@@ -520,13 +555,15 @@ def test_chordless_equivalence_small_random():
     for seed in range(30):
         g = random_connected_graph(5 + seed % 6, (0.2, 0.35, 0.5)[seed % 3], 40 + seed)
         for term in nonadjacent_pairs(g):
-            minimal = sp.brute_minimal_separators(g, term)
+            minimal = brute_minimal_separators(g, term)
             for v in range(g.n):
                 if v in term:
                     continue
-                paths = sp.brute_chordless_paths_through(g, term, v)
-                assert bool(paths) == any(v in X for X in minimal)
-                if paths:
-                    sep = sp.chordless_path_to_separator(g, term, paths[0], v)
+                ref = brute_chordless_paths_through(g, term, v)
+                path = sp.chordless_path_through(g, term, v)
+                assert path == (ref[0] if ref else None)
+                assert (path is not None) == any(v in X for X in minimal)
+                if path:
+                    sep = sp.chordless_path_to_separator(g, term, path, v)
                     assert v in sep
                     assert sp.is_minimal_separator(g, term, sep)

@@ -22,6 +22,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
 )
+from oracle import brute_important
 
 
 def test_is_important_examples():
@@ -38,14 +39,14 @@ def test_is_important_requires_minimal():
 
 def test_is_important_with_the_terminals_already_separated():
     g, term = parse_graph("s a\nt b"), Terminals(0, 2)
-    assert sp.brute_important(g, term, 1) == {()}
+    assert brute_important(g, term, 1) == {()}
     assert sp.is_important(g, term, ())
     assert not sp.is_important(g, term, (1,))  # {a}: t's side does not reach it
     cases = 0
     for seed in range(40):
         g = random_graph(4 + seed % 4, (0.15, 0.25, 0.4)[seed % 3], 1400 + seed)
         for term in nonadjacent_pairs(g):
-            want = sp.brute_important(g, term, g.n)
+            want = brute_important(g, term, g.n)
             inner = [v for v in range(g.n) if v not in term]
             for r in range(len(inner) + 1):
                 for X in itertools.combinations(inner, r):
@@ -76,7 +77,7 @@ def test_enumerate_important_matches_brute_everywhere():
         for term in nonadjacent_pairs(g):
             for k in range(1, n + 1):
                 got = sp.enumerate_important(g, term, k)
-                assert set(got) == sp.brute_important(g, term, k)
+                assert set(got) == brute_important(g, term, k)
                 assert list(_iter_important(g, term, k)) == got
                 assert len(got) <= 4 ** k
                 assert got == sorted(got, key=lambda s: (len(s), s))

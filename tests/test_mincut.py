@@ -19,6 +19,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
 )
+from oracle import brute_minimal_separators, brute_minimum_separators
 
 
 def test_kappa_examples():
@@ -42,7 +43,7 @@ def test_kappa_menger_on_random_graphs():
         g = random_connected_graph(5 + seed % 6, (0.2, 0.35, 0.5)[seed % 3], 500 + seed)
         for term in nonadjacent_pairs(g):
             cut = sp.kappa(g, term)
-            brute_min = sp.brute_minimum_separators(g, term)
+            brute_min = brute_minimum_separators(g, term)
             assert cut.kappa == min(len(X) for X in brute_min)
             assert len(cut.separator) == cut.kappa == len(cut.disjoint_paths)
             assert sp.is_minimal_separator(g, term, cut.separator)
@@ -196,7 +197,7 @@ def test_vertex_include_characterization():
     for seed in range(25):
         g = random_connected_graph(5 + seed % 6, 0.35, 700 + seed)
         for term in nonadjacent_pairs(g):
-            minimum = sp.brute_minimum_separators(g, term)
+            minimum = brute_minimum_separators(g, term)
             for v in range(g.n):
                 if v in term:
                     continue
@@ -220,7 +221,7 @@ def test_min_separator_excluding_against_brute():
     for seed in range(25):
         g = random_connected_graph(5 + seed % 5, 0.35, 800 + seed)
         for term in nonadjacent_pairs(g):
-            family = sp.brute_minimal_separators(g, term)
+            family = brute_minimal_separators(g, term)
             for r in (0, 1, 2):
                 for U in itertools.combinations(
                     [v for v in range(g.n) if v not in term], r
@@ -309,7 +310,7 @@ def test_no_minimal_separator_contains_a_simplicial_vertex():
                     continue
                 sat = sp.saturate(g, (u,))
                 assert all(
-                    u not in X for X in sp.brute_minimal_separators(sat, term)
+                    u not in X for X in brute_minimal_separators(sat, term)
                 )
 
 
@@ -577,7 +578,7 @@ def test_closest_cut_with_is_the_closest_constrained_minimum_separator(data):
     rest = [v for v in inner if v not in include]
     excluded = data.draw(st.sets(st.sampled_from(rest), max_size=4)
                          if rest else st.just(set()), label="excluded")
-    feasible = [X for X in sp.brute_minimum_separators(g, term)
+    feasible = [X for X in brute_minimum_separators(g, term)
                 if include <= set(X) and excluded.isdisjoint(X)]
     closest, furthest = net.closest_cut(), net.furthest_cut()
     got = net.closest_cut_with(include, excluded)

@@ -4,6 +4,12 @@ import sepenum as sp
 from sepenum.errors import SepenumError
 
 from conftest import DIAMOND, FIXTURES, P4, THETA, is_connected, random_graph
+from oracle import (
+    brute_chordless_paths_through,
+    brute_important,
+    brute_minimal_separators,
+    brute_minimum_separators,
+)
 
 
 def test_fixture_shapes():
@@ -14,43 +20,43 @@ def test_fixture_shapes():
 
 
 def test_brute_minimal_separators_fixtures():
-    assert sp.brute_minimal_separators(P4.graph, P4.terminals) == {(1,), (2,)}
-    assert sp.brute_minimal_separators(DIAMOND.graph, DIAMOND.terminals) == {(1, 2)}
-    assert sp.brute_minimal_separators(THETA.graph, THETA.terminals) == {(1, 3), (1, 4)}
+    assert brute_minimal_separators(P4.graph, P4.terminals) == {(1,), (2,)}
+    assert brute_minimal_separators(DIAMOND.graph, DIAMOND.terminals) == {(1, 2)}
+    assert brute_minimal_separators(THETA.graph, THETA.terminals) == {(1, 3), (1, 4)}
 
 
 def test_brute_important_fixtures():
-    assert sp.brute_important(P4.graph, P4.terminals, 1) == {(1,)}
-    assert sp.brute_important(P4.graph, P4.terminals, 2) == {(1,)}
-    assert sp.brute_important(THETA.graph, THETA.terminals, 2) == {(1, 3)}
+    assert brute_important(P4.graph, P4.terminals, 1) == {(1,)}
+    assert brute_important(P4.graph, P4.terminals, 2) == {(1,)}
+    assert brute_important(THETA.graph, THETA.terminals, 2) == {(1, 3)}
 
 
 def test_brute_minimum_separators_fixtures():
-    assert sp.brute_minimum_separators(P4.graph, P4.terminals) == {(1,), (2,)}
-    assert sp.brute_minimum_separators(DIAMOND.graph, DIAMOND.terminals) == {(1, 2)}
-    assert sp.brute_minimum_separators(THETA.graph, THETA.terminals) == {(1, 3), (1, 4)}
+    assert brute_minimum_separators(P4.graph, P4.terminals) == {(1,), (2,)}
+    assert brute_minimum_separators(DIAMOND.graph, DIAMOND.terminals) == {(1, 2)}
+    assert brute_minimum_separators(THETA.graph, THETA.terminals) == {(1, 3), (1, 4)}
 
 
 def test_brute_chordless_paths_fixtures():
-    assert sp.brute_chordless_paths_through(P4.graph, P4.terminals, 1) == [[0, 1, 2, 3]]
-    assert sp.brute_chordless_paths_through(THETA.graph, THETA.terminals, 4) == [[0, 3, 4, 2]]
-    assert sp.brute_chordless_paths_through(DIAMOND.graph, DIAMOND.terminals, 1) == [[0, 1, 3]]
+    assert brute_chordless_paths_through(P4.graph, P4.terminals, 1) == [[0, 1, 2, 3]]
+    assert brute_chordless_paths_through(THETA.graph, THETA.terminals, 4) == [[0, 3, 4, 2]]
+    assert brute_chordless_paths_through(DIAMOND.graph, DIAMOND.terminals, 1) == [[0, 1, 3]]
 
 
 def test_size_guards_hard_fail():
     big = random_graph(17, 0.2, 1)
     term = sp.Terminals(0, 16)
     with pytest.raises(SepenumError, match="n=17 exceeds oracle guard 16"):
-        sp.brute_minimal_separators(big, term)
+        brute_minimal_separators(big, term)
     with pytest.raises(SepenumError, match="n=17 exceeds oracle guard 16"):
-        sp.brute_minimum_separators(big, term)
+        brute_minimum_separators(big, term)
     mid = random_graph(15, 0.2, 1)
     with pytest.raises(SepenumError, match="n=15 exceeds oracle guard 14"):
-        sp.brute_important(mid, sp.Terminals(0, 14), 3)
+        brute_important(mid, sp.Terminals(0, 14), 3)
     with pytest.raises(SepenumError, match="n=15 exceeds oracle guard 14"):
-        sp.brute_chordless_paths_through(mid, sp.Terminals(0, 14), 1)
+        brute_chordless_paths_through(mid, sp.Terminals(0, 14), 1)
     # the guard of the path oracle is adjustable
-    assert sp.brute_chordless_paths_through(mid, sp.Terminals(0, 14), 1, max_n=15) is not None
+    assert brute_chordless_paths_through(mid, sp.Terminals(0, 14), 1, max_n=15) is not None
 
 
 def test_random_graph_determinism():
@@ -75,9 +81,9 @@ def test_random_graph_seed42_frozen():
 
 def test_oracle_outputs_are_canonical():
     for fam in (
-        sp.brute_minimal_separators(THETA.graph, THETA.terminals),
-        sp.brute_minimum_separators(THETA.graph, THETA.terminals),
-        sp.brute_important(THETA.graph, THETA.terminals, 3),
+        brute_minimal_separators(THETA.graph, THETA.terminals),
+        brute_minimum_separators(THETA.graph, THETA.terminals),
+        brute_important(THETA.graph, THETA.terminals, 3),
     ):
         for X in fam:
             assert list(X) == sorted(set(X))
