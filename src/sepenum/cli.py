@@ -9,14 +9,16 @@ Exit codes, one per outcome: 0 success (including empty enumerations);
 1 bad input: usage, parse or file errors (SepenumError); 2 invalid
 terminals: an unknown label (UnknownLabel), or equal or adjacent terminals
 (TerminalsAdjacent; for list-minimal an adjacent pair prints the bottom
-marker "BOTTOM"); 3 terminals already separated (AlreadySeparated).
+marker "BOTTOM"); 3 terminals already separated (AlreadySeparated);
+141 standard output closed early, say by `head` (BrokenPipeError), as
+for a process killed by SIGPIPE.
 """
 
 import argparse
-import json
+import os
 import sys
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable
 
 from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent, UnknownLabel
 from .fpt import iter_small_minimal
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_TERMINALS = 2
 EXIT_SEPARATED = 3
+EXIT_PIPE_CLOSED = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,12 +96,17 @@ def _read_graph(path: str) -> Graph:
     return parse_graph(text)
 
 
+def _print(as_json: bool, record, text: str) -> None:
+    if as_json:
+        import json  # only --json runs load it
+
+        text = json.dumps(record)
+    print(text, flush=True)
+
+
 def _emit(G: Graph, sep: Separator, as_json: bool) -> None:
     labels = sorted(G.labels[v] for v in sep)
-    if as_json:
-        print(json.dumps({"separator": labels, "size": len(sep)}), flush=True)
-    else:
-        print(",".join(labels), flush=True)
+    _print(as_json, {"separator": labels, "size": len(sep)}, ",".join(labels))
 
 
 def _stream(G: Graph, seps: Iterable[Separator], limit, as_json: bool) -> int:
@@ -123,10 +131,7 @@ def _run(args) -> int:
 
     if args.command == "minsep":
         cut = kappa(G, term)
-        if args.json:
-            print(json.dumps({"kappa": cut.kappa}), flush=True)
-        else:
-            print(f"kappa {cut.kappa}", flush=True)
+        _print(args.json, {"kappa": cut.kappa}, f"kappa {cut.kappa}")
         _emit(G, cut.separator, args.json)
         return EXIT_OK
 
@@ -157,11 +162,8 @@ def _run(args) -> int:
             minimum = False  # only the empty set is minimum here
         report = {"separator": separator, "minimal": minimal,
                   "important": important, "minimum": minimum}
-        if args.json:
-            print(json.dumps(report), flush=True)
-        else:
-            for key, value in report.items():
-                print(f"{key} {'true' if value else 'false'}", flush=True)
+        _print(args.json, report, "\n".join(
+            f"{key} {'true' if value else 'false'}" for key, value in report.items()))
         return EXIT_OK
 
     assert args.command == "witness"
@@ -172,7 +174,7 @@ def _run(args) -> int:
         raise SepenumError(f"n={G.n} exceeds --max-n {args.max_n}")
     path = chordless_path_through(G, term, v)
     if path is None:
-        print(json.dumps({"separator": None}) if args.json else "none", flush=True)
+        _print(args.json, {"separator": None}, "none")
         return EXIT_OK
     _emit(G, chordless_path_to_separator(G, term, path, v), args.json)
     return EXIT_OK
@@ -187,13 +189,20 @@ def main(argv=None) -> int:
     except AlreadySeparated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEPARATED
+    except BrokenPipeError:  # the reader has gone, say `head`
+        return EXIT_PIPE_CLOSED
     except (SepenumError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    code = main()
+    if code == EXIT_PIPE_CLOSED:
+        # Only the process owns fd 1: point it at devnull, so that the
+        # interpreter's final flush of stdout does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ ones make the stream complete, and a seen-set makes each appear once.
 Every branching starts its root flow from the seed root's paths.
 """
 
+from collections.abc import Iterator
 from heapq import heappop, heappush
-from typing import Iterator
 
 from .graph import (
     Graph,

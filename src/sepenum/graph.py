@@ -12,9 +12,10 @@ neighbourhoods of G minus a vertex set, on which every separator
 predicate and construction below rests, are set computations over them.
 """
 
+from collections import namedtuple
+from collections.abc import Iterable, Set as AbstractSet
 from itertools import compress, count, repeat
 from operator import eq
-from typing import AbstractSet, Iterable, NamedTuple
 
 from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent, UnknownLabel
 
@@ -23,11 +24,8 @@ from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent, UnknownLa
 Separator = tuple[int, ...]
 
 
-# A NamedTuple class body may not define __new__, so Terminals checks its
-# fields in a subclass.
-class _Pair(NamedTuple):
-    s: int
-    t: int
+# Terminals checks its fields in a subclass of the plain named tuple.
+_Pair = namedtuple("_Pair", "s t")
 
 
 class Terminals(_Pair):

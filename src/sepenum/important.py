@@ -26,7 +26,7 @@ j are final: the CLI's `important` streams them size by size, and
 `enumerate_important` lists them all.
 """
 
-from typing import AbstractSet, Iterator
+from collections.abc import Iterator, Set as AbstractSet
 
 from .errors import SepenumError
 from .graph import (

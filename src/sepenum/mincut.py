@@ -39,7 +39,7 @@ A module-level counter tracks max-flow invocations so that delay
 bounds can be checked externally.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress, count, islice
 
 from .errors import AlreadySeparated, SepenumError, TerminalsAdjacent
@@ -344,11 +344,9 @@ class FlowNetwork:
         return paths
 
 
-@dataclass
-class CutResult:
-    kappa: int
-    separator: Separator
-    disjoint_paths: list[list[int]] = field(default_factory=list)
+# The s,t-connectivity, a minimum separator and a maximum family of
+# internally vertex-disjoint s,t-paths, as lists of vertex ids.
+CutResult = namedtuple("CutResult", "kappa separator disjoint_paths")
 
 
 def _min_cut(G: Graph, sources, sinks, removed=(), flow=(), excluded=()) -> FlowNetwork:

@@ -31,8 +31,8 @@ so the stream is not the full separator family.  minimum-all is its
 size-κ prefix, in the same order, from one flow call.
 """
 
+from collections.abc import Iterator
 from heapq import heappop, heappush
-from typing import Iterator
 
 from .errors import TerminalsAdjacent
 from .graph import (

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sepenum
-from sepenum.cli import EXIT_OK, _stream, main
+from sepenum.cli import EXIT_OK, EXIT_PIPE_CLOSED, _stream, main
 from sepenum.graph import parse_graph
 from sepenum.mincut import flow_call_count
 
@@ -14,6 +16,7 @@ DATA = Path(__file__).parent / "data"
 P4 = str(DATA / "p4.edges")
 DIAMOND = str(DATA / "diamond.edges")
 THETA = str(DATA / "theta.edges")
+SRC = str(Path(sepenum.__file__).parents[1])
 
 
 def run(capsys, *argv):
@@ -233,6 +236,35 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1 and err == "error: n=4 exceeds --max-n 2\n"
 
 
+class _ReaderGoneAfterOneLine:
+    """A stdout whose reader goes away after the first line, as `head -1` does."""
+
+    def __init__(self):
+        self.text = ""
+
+    def write(self, text):
+        if "\n" in self.text:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("ranked", THETA, "-s", "s", "-t", "t"), "a,b\n"),
+    (("minimum-all", THETA, "-s", "s", "-t", "t", "--json"),
+     '{"separator": ["a", "b"], "size": 2}\n'),
+])
+def test_closed_stdout_exits_141_quietly(argv, first, capsys, monkeypatch):
+    stdout = _ReaderGoneAfterOneLine()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(list(argv)) == EXIT_PIPE_CLOSED == 141
+    assert stdout.text == first
+    assert capsys.readouterr().err == ""
+
+
 def test_parse_errors_and_unknown_labels_keep_their_messages(capsys, monkeypatch):
     text = "# theta\r\ns a\r\n\ta t\r\ns b\r\nb c\r\nc t"
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -266,10 +298,38 @@ def test_byte_identical_across_runs(capsys):
 
 
 def test_cli_closes_its_input_file():
-    env = dict(os.environ, PYTHONPATH=str(Path(sepenum.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
          "-m", "sepenum.cli", "minsep", P4, "-s", "s", "-t", "t"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.stderr == ""
     assert proc.returncode == 0 and proc.stdout == "kappa 1\na\n"
+
+
+def test_a_closed_pipe_ends_the_process_with_141_and_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepenum.cli", "ranked", THETA, "-s", "s", "-t", "t"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_cli_start_up_imports_no_typing_dataclasses_inspect_or_json():
+    # -S: no site-packages, which may import typing before any program runs
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = ("import sys, sepenum.cli; print(sorted("
+             "{'typing', 'dataclasses', 'inspect', 'json'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "sepenum.cli", "minsep", DIAMOND, "-s", "s",
+         "-t", "t", "--json"], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == '{"kappa": 2}\n{"separator": ["a", "b"], "size": 2}\n'

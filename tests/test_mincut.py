@@ -31,6 +31,17 @@ def test_kappa_examples():
     assert (cut.kappa, cut.separator) == (2, (1, 3))
 
 
+def test_kappa_returns_an_immutable_cut_result():
+    cut = sp.kappa(DIAMOND.graph, DIAMOND.terminals)
+    assert type(cut) is sp.CutResult
+    assert cut._fields == ("kappa", "separator", "disjoint_paths")
+    value, separator, paths = cut
+    assert (value, separator, paths) == (cut.kappa, cut.separator, cut.disjoint_paths)
+    assert (value, separator) == (2, (1, 2)) and sorted(paths) == [[0, 1, 3], [0, 2, 3]]
+    with pytest.raises(AttributeError):
+        cut.kappa = 3
+
+
 def test_kappa_errors():
     with pytest.raises(TerminalsAdjacent):
         sp.kappa(parse_graph("s t"), Terminals(0, 1))
