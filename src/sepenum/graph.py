@@ -193,6 +193,26 @@ def _component(adj, start: Iterable[int], blocked: AbstractSet[int]) -> set[int]
     return comp
 
 
+def _connected(adj, s: int, t: int, blocked: AbstractSet[int]) -> bool:
+    """True iff s and t are joined in G minus blocked: grow, level by level,
+    the component whose last frontier is the smaller (Pohl 1971), s's on a
+    tie as in `mincut._search`, since `ranked` checks closest cuts, whose
+    s-side is the smaller, until the two touch or one is whole."""
+    comp_s, front_s, comp_t, front_t = {s}, {s}, {t}, {t}
+    while front_s and front_t:
+        if len(front_s) <= len(front_t):
+            front_s = set().union(*[adj[v] for v in front_s]) - comp_s - blocked
+            if not front_s.isdisjoint(comp_t):
+                return True
+            comp_s |= front_s
+        else:
+            front_t = set().union(*[adj[v] for v in front_t]) - comp_t - blocked
+            if not front_t.isdisjoint(comp_s):
+                return True
+            comp_t |= front_t
+    return False
+
+
 def _boundary(adj, comp: AbstractSet[int]) -> set[int]:
     """N(comp): the neighbours of the set comp outside it."""
     return set().union(*[adj[v] for v in comp]) - comp
@@ -208,10 +228,10 @@ def component_of(G: Graph, removed: Iterable[int], v: int) -> frozenset:
 
 
 def is_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
-    """True iff t is unreachable from s in G minus X."""
+    """True iff t is unreachable from s in G minus X, grown from both ends."""
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
-    return term.t not in _component(G.adj, (term.s,), set(members))
+    return not _connected(G.adj, *term, set(members))
 
 
 def _minimal_side(adj, xset: AbstractSet[int], s: int, t: int) -> set[int] | None:
@@ -308,7 +328,7 @@ def _require_apart(G: Graph, sources: AbstractSet[int], sinks: AbstractSet[int])
 
 def _require_separable(G: Graph, term: Terminals) -> None:
     _require_apart(G, {term.s}, {term.t})
-    if term.t not in _component(G.adj, (term.s,), set()):
+    if not _connected(G.adj, *term, set()):
         raise AlreadySeparated(
             f"terminals {G.labels[term.s]},{G.labels[term.t]} already separated")
 

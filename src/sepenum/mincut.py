@@ -5,13 +5,14 @@ flow is a family of internally vertex-disjoint paths, kept as one `pred`
 and one `succ` per vertex.  The residual graph lives on implicit split
 states in(v) = 2v and out(v) = 2v + 1, with no network built: out(v)
 reaches in(w) of every live neighbour w, and in(v) when v is used; in(v)
-reaches out(v) when v is free and out(pred[v]) when it is used.  A vertex
-of `excluded` is never used, so it is uncut; a run of them on a path is
-stored as one step, an edge of `saturate(G, excluded)`.  Swap in- and
-out-states and read `succ` for `pred`, and the same rules give the
-reversed residual graph.  So one traversal, `_grow`, runs both ways: a
-forward side from the sources' out-states and a backward side from the
-sinks' in-states, each in its own coordinates and built by `_side`.
+reaches out(pred[v]) when v is used and, its one arc, out(v) when v is
+free, in the step that reaches in(v).  A vertex of `excluded` is never
+used, so it is uncut; a run of them on a path is stored as one step, an
+edge of `saturate(G, excluded)`.  Swap in- and out-states and read `succ`
+for `pred`, and the same rules give the reversed residual graph.  So one
+traversal, `_grow`, runs both ways: a forward side from the sources'
+out-states and a backward side from the sinks' in-states, each in its own
+coordinates and built by `_side`.
 
 An augmenting search, `_search`, grows the side with the smaller frontier
 until it is the larger one, and splices the two sides at the first state
@@ -66,9 +67,10 @@ class _Side:
 
     seen[x] is -2 while state x is unseen, -3 for a state the side never
     enters, -1 for a seed and otherwise the state x was reached from.
-    `queue` lists the reached states in BFS order; the first `head` of
-    them are expanded, and `rest` iterates over the others.  `link` is
-    `pred` forward and `succ` backward; each search starts at `seeds`.
+    `queue` lists the reached states in BFS order, but a free vertex's
+    in-state stands unqueued behind its out-state; the first `head` are
+    expanded, and `rest` iterates over the others.  `link` is `pred`
+    forward and `succ` backward; each search starts at `seeds`.
     """
 
     __slots__ = ("seen", "link", "seeds", "queue", "head", "rest")
@@ -82,6 +84,8 @@ class _Side:
         seen = self.seen
         for x in self.queue:
             seen[x] = -2
+            if x & 1 and seen[x - 1] >= -1:  # an in-state a hop left unqueued, never a -3
+                seen[x - 1] = -2
         for x in seeds:
             seen[x] = -1
         self.queue, self.head = list(seeds), 0
@@ -170,7 +174,8 @@ class FlowNetwork:
 
         A round expands as many states as the side holds, so it finishes
         the current BFS level, and a side that crosses a long, narrow graph
-        does so in a logarithmic number of rounds.  It lets in(e) step to
+        does so in a logarithmic number of rounds.  A step into a free in(w)
+        goes on to out(w) and queues out(w) alone.  It lets in(e) step to
         out(e) for every e in `uncut` even when e is used.
         """
         adj, link, seen, queue, rest = (
@@ -187,7 +192,13 @@ class FlowNetwork:
                         y = 2 * w
                         if seen[y] == -2:
                             seen[y] = x
-                            queue.append(y)
+                            if link[w] < 0:  # free: on to out(w), its one arc
+                                seen[y + 1] = y
+                                queue.append(y + 1)
+                                if theirs[y] >= -1:
+                                    return y + 1
+                            else:
+                                queue.append(y)
                             if theirs[y + 1] >= -1:
                                 return y
                     if link[v] < 0:
@@ -237,7 +248,7 @@ class FlowNetwork:
 
     def _cut(self, side: _Side) -> Separator:
         """The vertices whose in-state the finished side reached and whose
-        out-state it did not, in the side's coordinates."""
+        out-state it did not, in the side's coordinates: never a free one."""
         seen = side.seen
         cut = sorted(x >> 1 for x in side.queue if not x & 1 and seen[x + 1] == -2)
         assert len(cut) == self.value

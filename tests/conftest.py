@@ -75,6 +75,28 @@ def band(width: int, length: int) -> tuple[Graph, Terminals]:
     return Graph(2 + width * length, edges), Terminals(0, 1)
 
 
+def two_hamiltonian_cycles(n: int, seed: int) -> tuple[Graph, Terminals]:
+    """A random 4-regular graph, the union of two random Hamiltonian cycles
+    that share no edge, with s a random vertex and t the vertex farthest
+    from it."""
+    rng = random.Random(seed)
+    while True:
+        edges = set()
+        for _ in range(2):
+            order = rng.sample(range(n), n)
+            edges.update((min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1]))
+        if len(edges) == 2 * n:
+            break
+    g = Graph(n, edges)
+    s = rng.randrange(n)
+    dist, frontier, d = {s: 0}, [s], 0
+    while frontier:
+        d += 1
+        frontier = [w for v in frontier for w in g.adj[v] if w not in dist]
+        dist.update(dict.fromkeys(frontier, d))
+    return g, Terminals(s, max(range(n), key=lambda v: (dist[v], -v)))
+
+
 def grid(side: int) -> tuple[Graph, Terminals]:
     """The side-by-side square grid, terminals at opposite corners."""
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]

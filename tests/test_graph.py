@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 import sepenum as sp
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
-from sepenum.graph import Graph, Terminals, absorb, parse_graph
+from sepenum.graph import Graph, Terminals, _component, _require_separable, absorb, parse_graph
 
 from conftest import (
     DIAMOND,
     P4,
     THETA,
+    band,
     nonadjacent_pairs,
     random_connected_graph,
     random_graph,
+    two_hamiltonian_cycles,
 )
 import oracle
 from oracle import (
@@ -205,6 +207,71 @@ def test_is_separator_examples():
 def test_is_separator_rejects_terminal():
     with pytest.raises(SepenumError, match="set s,a contains a terminal of s,t"):
         sp.is_separator(P4.graph, P4.terminals, (0, 1))
+
+
+def test_is_separator_agrees_with_a_one_sided_search():
+    # The search grown from both terminals gives the answer of one grown
+    # from s alone, on connected and disconnected graphs, for random sets,
+    # each terminal's neighbourhood and sets that meet both.
+    rng = random.Random(2300)
+    answers = []
+    for seed in range(120):
+        n = 3 + seed % 58
+        if seed % 2:
+            g = random_graph(n, rng.choice((0.02, 0.05, 0.1, 0.3)), 2300 + seed)
+        else:
+            g = random_connected_graph(n, max(0.15, 3 / n), 2300 + seed)
+        for _ in range(3):
+            s, t = rng.sample(range(n), 2)
+            inner = [v for v in range(n) if v not in (s, t)]
+            near_s, near_t = sorted(g.adj[s] - {t}), sorted(g.adj[t] - {s})
+            both = rng.sample(near_s, len(near_s) // 2) + rng.sample(near_t, len(near_t) // 2)
+            for X in (rng.sample(inner, rng.randint(0, len(inner))), near_s, near_t, both):
+                expected = t not in _component(g.adj, (s,), set(X))
+                assert sp.is_separator(g, Terminals(s, t), X) == expected
+                answers.append(expected)
+    assert answers.count(True) > 300 and answers.count(False) > 300
+
+
+class _CountingAdj(tuple):
+    """Neighbourhoods that count how many of them are read."""
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_is_separator_reads_about_the_smaller_side():
+    # With X = N(t), t's side is t alone, while s's side is all the rest:
+    # a search from s alone reads about n neighbourhoods, and one from t
+    # alone does so with the terminals swapped.  A 30-vertex path hung from
+    # a vertex a of that graph, with X = {a}, is a small side 30 levels deep:
+    # growing both sides in turn would read most of the graph.  On B(3,30)
+    # with X its twelfth column, both frontiers hold 3 vertices from the
+    # second level on and s has the smaller side, 34 vertices: growing both
+    # in turn would read 68 neighbourhoods.
+    n = 20_000
+    g, term = two_hamiltonian_cycles(n, 23)
+    a = min(g.adj[term.s])
+    tail = Graph(n + 30, [(u, w) for u in range(n) for w in g.adj[u] if u < w]
+                 + [(v, v + 1) for v in range(n, n + 29)] + [(n + 29, a)])
+    for g, term, X in ((g, term, g.adj[term.t]), (g, Terminals(*term[::-1]), g.adj[term.t]),
+                       (tail, Terminals(term.t, n), {a}), (tail, Terminals(n, term.t), {a}),
+                       (*band(3, 30), range(35, 38))):
+        g.adj = _CountingAdj(g.adj)
+        g.adj.reads = 0
+        assert sp.is_separator(g, term, X)
+        assert g.adj.reads <= 50
+
+
+def test_already_separated_terminals_raise_whichever_side_is_larger():
+    path = [(v, v + 1) for v in range(2, 11)]
+    for edges in ([(0, 2), *path], [(1, 2), *path], [(0, 2), (1, 3)]):
+        g = Graph(12, edges)
+        with pytest.raises(AlreadySeparated):
+            _require_separable(g, Terminals(0, 1))
+        with pytest.raises(AlreadySeparated):
+            sp.close_separator(g, Terminals(1, 0))
 
 
 def test_is_minimal_separator_examples():

@@ -18,6 +18,7 @@ from conftest import (
     nonadjacent_pairs,
     random_connected_graph,
     random_graph,
+    two_hamiltonian_cycles,
 )
 from oracle import brute_minimal_separators, brute_minimum_separators
 
@@ -459,24 +460,22 @@ def test_flow_network_checks_a_sink_set_like_a_single_sink():
 
 
 def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
-    # In this adjacency order the first path is 0-5-8-17-20-13-21; the
-    # second runs 0-12-11-15-10-2-13, back through 20 to 17, then on to
-    # 19-6-21, and so takes 20 out of the flow.  Random graphs this small
-    # rarely do that.
-    g = Graph(22, [(0, 5), (0, 12), (1, 20), (2, 10), (2, 13), (2, 14), (4, 8),
-                   (5, 8), (6, 19), (6, 21), (8, 14), (8, 17), (9, 15), (10, 15),
-                   (11, 12), (11, 15), (13, 20), (13, 21), (14, 20), (16, 19),
-                   (17, 19), (17, 20), (18, 21)])
-    net = FlowNetwork(g, (0,), (21,))
+    # In this adjacency order the first path is 0-14-13-10-15; the second
+    # runs 0-8-5-10, back through 13 to 14, then on to 9-6-12-15, and so
+    # takes 13 out of the flow.  Random graphs this small rarely do that.
+    g = Graph(16, [(0, 8), (0, 14), (1, 6), (2, 4), (2, 11), (4, 8), (5, 8),
+                   (5, 10), (6, 9), (6, 10), (6, 12), (9, 14), (10, 13), (10, 15),
+                   (12, 15), (13, 14)])
+    net = FlowNetwork(g, (0,), (15,))
     used = []
     augment = net._augment
     def recording_augment(met):
         augment(met)
-        used.append(net.pred[20] >= 0)
+        used.append(net.pred[13] >= 0)
     net._augment = recording_augment
     assert net.max_flow() == 2 and used == [True, False]
-    assert _check_flow(g, {0}, {21}, set()).disjoint_paths() == [
-        [0, 5, 8, 17, 19, 6, 21], [0, 12, 11, 15, 10, 2, 13, 21]]
+    assert _check_flow(g, {0}, {15}, set()).disjoint_paths() == [
+        [0, 8, 5, 10, 15], [0, 14, 9, 6, 12, 15]]
 
 
 def test_a_backward_side_that_dies_first_still_meets_a_source():
@@ -489,6 +488,68 @@ def test_a_backward_side_that_dies_first_still_meets_a_source():
     assert net.value == 1
     assert net.closest_cut() == net.furthest_cut() == (1,)
     assert net.disjoint_paths() == [[4, 1, 5]]
+
+
+def _networks_with_excluded_and_include_sets(seed_base: int):
+    """Seeded random networks from s to t, after max_flow, some with an
+    excluded set, each with an include set and an excluded set for a
+    constrained closure."""
+    rng = random.Random(seed_base)
+    for seed in range(60):
+        g = random_connected_graph(8 + seed % 23, (0.15, 0.25, 0.4)[seed % 3], seed_base + seed)
+        for term in nonadjacent_pairs(g)[:3]:
+            inner = [v for v in range(g.n) if v not in term]
+            excluded = rng.sample(inner, rng.randint(0, len(inner) // 3))
+            try:
+                net = FlowNetwork(g, (term.s,), (term.t,), excluded=excluded)
+            except TerminalsAdjacent:  # the excluded set joins s to t
+                continue
+            net.max_flow()
+            yield net, rng.sample(inner, rng.randint(0, 3)), rng.sample(inner, rng.randint(0, 4))
+
+
+def test_no_free_vertex_in_state_is_queued(monkeypatch):
+    # A free vertex's in-state has one residual arc, to its out-state, and
+    # `_grow` takes it in the step that reaches the in-state; only a seed,
+    # such as in(i) for an included i, is queued while its vertex is free.
+    grow, grown = FlowNetwork._grow, []
+
+    def checked_grow(self, side, theirs, limit=None, uncut=()):
+        met = grow(self, side, theirs, limit, uncut)
+        assert all(x & 1 or side.link[x >> 1] >= 0 or side.seen[x] == -1
+                   for x in side.queue)
+        grown.append(len(side.queue))
+        return met
+
+    monkeypatch.setattr(FlowNetwork, "_grow", checked_grow)
+    answers = []
+    for net, include, excluded in _networks_with_excluded_and_include_sets(2310):
+        grown.clear()
+        net.closest_cut()
+        net.furthest_cut()
+        answers.append(net.closest_cut_with(include, excluded))
+        assert len(grown) == 3
+    nones = answers.count(None)
+    assert len(answers) > 100 and 10 < nones < len(answers) - 10
+
+
+def test_a_new_search_leaves_no_state_of_the_last_one():
+    # `start` forgets every state the last search marked, the in-states its
+    # hops left unqueued too, and keeps each -3: a side restarted after
+    # both cut reads looks like a side that never searched.
+    restarted = 0
+    for net, _, _ in _networks_with_excluded_and_include_sets(2320):
+        net.closest_cut()
+        net.furthest_cut()
+        for side, ends, link in ((net._fwd, net.sources, net.pred),
+                                 (net._bwd, net.sinks, net.succ)):
+            side.start(side.seeds)
+            fresh = net._side(ends, link)
+            fresh.start(fresh.seeds)
+            assert side.seen == fresh.seen
+            assert all(mark in (-2, -3) or x in side.seeds for x, mark in enumerate(side.seen))
+            restarted += 1
+    assert restarted > 200
 
 
 @settings(max_examples=400, deadline=None)
@@ -620,34 +681,12 @@ def test_a_maximum_starting_flow_needs_no_augmenting_search():
     assert warm.disjoint_paths() == cold.disjoint_paths()
 
 
-def _two_hamiltonian_cycles(n: int, seed: int) -> tuple[Graph, Terminals]:
-    """A random 4-regular graph, the union of two random Hamiltonian cycles
-    that share no edge, with s a random vertex and t the vertex farthest
-    from it."""
-    rng = random.Random(seed)
-    while True:
-        edges = set()
-        for _ in range(2):
-            order = rng.sample(range(n), n)
-            edges.update((min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1]))
-        if len(edges) == 2 * n:
-            break
-    g = Graph(n, edges)
-    s = rng.randrange(n)
-    dist, frontier, d = {s: 0}, [s], 0
-    while frontier:
-        d += 1
-        frontier = [w for v in frontier for w in g.adj[v] if w not in dist]
-        dist.update(dict.fromkeys(frontier, d))
-    return g, Terminals(s, max(range(n), key=lambda v: (dist[v], -v)))
-
-
 def test_augmenting_searches_reach_a_small_part_of_a_sparse_random_graph():
     # With t as far from s as it gets, a search grown from s alone fills
     # nearly all 2n split states before it reaches t, about 7.9 n over the
     # whole flow.  Grown from both ends, the two sides meet early.
     n = 20_000
-    g, term = _two_hamiltonian_cycles(n, 7)
+    g, term = two_hamiltonian_cycles(n, 7)
     net = FlowNetwork(g, (term.s,), (term.t,))
     reached = []
     search = net._search

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from heapq import heappush
 from itertools import islice, takewhile
 
 import pytest
@@ -211,3 +212,26 @@ def test_children_of_minimum_cells_run_a_flow_only_past_kappa(monkeypatch):
             flows += len(built)
             built.clear()
         assert flows > 0
+
+
+@pytest.mark.skipif(not __debug__, reason="the soundness check is an assert")
+def test_every_pushed_child_is_checked_to_separate(monkeypatch):
+    # `_lawler` asserts that each child it queues separates s from t in G,
+    # once per child and on the very separator it pushes.
+    checked, pushed = [], []
+
+    def checked_separator(G, term, X):
+        checked.append(X)
+        return sepenum.graph.is_separator(G, term, X)
+
+    def recording_push(queue, item):
+        pushed.append(item[0][1])
+        heappush(queue, item)
+
+    monkeypatch.setattr(sepenum.ranked, "is_separator", checked_separator)
+    monkeypatch.setattr(sepenum.ranked, "heappush", recording_push)
+    for g, term in (band(3, 30), band(4, 12)):
+        checked.clear()
+        pushed.clear()
+        assert len(list(islice(sp.iter_ranked_separators(g, term), 400))) == 400
+        assert checked == pushed and len(pushed) > 400
