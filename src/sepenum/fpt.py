@@ -10,7 +10,9 @@ set is connected and holds s, a candidate, which avoids it, is minimal
 there iff it is minimal in G, so the filter runs on G.  Such a separator
 avoids C_s and v, so its key is strictly larger than S's; the important
 ones make the stream complete, and a seen-set makes each appear once.
-Every branching starts its root flow from the seed root's paths.
+The stream runs each branching's root flow itself, every one after the
+seed's from the seed root's paths, and takes its candidates from
+`important._levels`.
 """
 
 from collections.abc import Iterator
@@ -21,17 +23,17 @@ from .graph import (
     Separator,
     Terminals,
     _minimal_side,
-    _require_separable,
     add_star,  # unused, but bench/test_bench.py patches it here
 )
-from .important import _important_candidates
+from .important import _levels, _root
+from .mincut import _min_cut
 
 
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     """Yield every minimal s,t-separator of size at most k exactly once."""
-    _require_separable(G, term)
-    # eager, so a bad k raises here and not at the first pull
-    seeds, root = _important_candidates(G, term.t, {term.s}, k)
+    # eager, so bad input raises here and not at the first pull
+    k, root = _root(G, term, k)
+    seeds = set().union(*_levels(G, k, root))
     paths = root.disjoint_paths()
 
     def generate():
@@ -51,7 +53,8 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
             comp_size, S, side = heappop(queue)
             assert len(S) <= k
             yield S
-            branched = (_important_candidates(G, term.t, side | {v}, k, paths)[0]
-                        for v in S if term.t not in G.adj[v])
+            roots = (_min_cut(G, (term.t,), side | {v}, (), paths)
+                     for v in S if term.t not in G.adj[v])
+            branched = (set().union(*_levels(G, k, net)) for net in roots)
 
     return generate()

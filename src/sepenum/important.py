@@ -23,10 +23,12 @@ child is over budget, and every child's candidates are larger than its
 parent's.  The branching is best-first: it runs the children bucket by
 bucket, by that bound, and once bucket j is done the candidates of size
 j are final: the CLI's `important` streams them size by size, and
-`enumerate_important` lists them all.
+`enumerate_important` lists them all.  `_levels` is the one entry into
+the branching, and its callers run the root flow: `_root` toward s for
+both streams, and `list-minimal` toward each of its sink sets.
 """
 
-from collections.abc import Iterator, Set as AbstractSet
+from collections.abc import Iterator
 
 from .errors import SepenumError
 from .graph import (
@@ -55,10 +57,21 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
     return term.s not in R and _min_cut(G, R, (term.s,)).furthest_cut() == members
 
 
-def _levels(G: Graph, sinks: AbstractSet[int], k: int,
-            root: FlowNetwork) -> Iterator[set[frozenset]]:
-    """The branching's raw candidates of size 0, 1, ..., k, one set each,
-    best first from the root, whose flow has run.
+def _root(G: Graph, term: Terminals, k: int) -> tuple[int, FlowNetwork]:
+    """Check the input and run the root flow, t toward {s}, now; return k
+    cut to n - 2, as no separator is larger, and the root's network."""
+    _require_separable(G, term)
+    if k < 1:
+        raise SepenumError(f"k must be at least 1, got {k}")
+    return min(k, G.n - 2), _min_cut(G, (term.t,), (term.s,))
+
+
+def _levels(G: Graph, k: int, root: FlowNetwork) -> Iterator[set[Separator]]:
+    """The branching's raw candidates of size 0, 1, ..., k as canonical
+    separators, one set each, best first from the root, whose flow from t
+    toward its sinks has run from any start (no sink may be t or next to
+    it).  They are at most 4^k sets, not all minimal, including every
+    important separator of size at most k.
 
     Joining needs no flow: with v of C removed the value is one less and
     the furthest cut is C - {v}, since a cut D of G - v gives the cut
@@ -75,6 +88,7 @@ def _levels(G: Graph, sinks: AbstractSet[int], k: int,
     The empty set is a candidate only of a root whose sources are already
     cut off.
     """
+    sinks = root.sinks
     levels: list[set[frozenset]] = [set() for _ in range(k + 1)]
     queued: list[list] = [[] for _ in range(k + 1)]
     queued[0].append((frozenset(), tuple(root.sources), 0, frozenset(), ()))
@@ -94,30 +108,7 @@ def _levels(G: Graph, sinks: AbstractSet[int], k: int,
                         queued[size + 1].append(
                             (reach, cut, j, removed.union(cut[:j]), paths))
         queued[b].clear()  # release the processed children
-        yield levels[b]
-
-
-def _branching(G: Graph, t: int, sinks: AbstractSet[int], k: int,
-               flow=()) -> tuple[FlowNetwork, Iterator[set[frozenset]]]:
-    """Run the root flow, from t to the sink set and started from `flow`,
-    now; return it and `_levels` over the rest.  No sink may be t or next
-    to it."""
-    if k < 1:
-        raise SepenumError(f"k must be at least 1, got {k}")
-    k = min(k, G.n - 2)  # no separator is larger
-    root = _min_cut(G, (t,), sinks, (), flow)
-    return root, _levels(G, root.sinks, k, root)
-
-
-def _important_candidates(G: Graph, t: int, sinks: AbstractSet[int], k: int,
-                          flow=()) -> tuple[set[Separator], FlowNetwork]:
-    """The branching's raw candidates as canonical separators (at most 4^k
-    sets, not all minimal, including every important one of size at most
-    k), and the root's network.  The root starts from `flow`, such as the
-    seed root's paths; the furthest cuts alone decide the candidates."""
-    root, levels = _branching(G, t, sinks, k, flow)
-    found = {canonical(members) for level in levels for members in level}
-    return found, root
+        yield set(map(canonical, levels[b]))
 
 
 def _iter_important(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
@@ -126,16 +117,8 @@ def _iter_important(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     sorted and tested one by one, so each is yielded after its own test.
     Bad input raises here, and the root flow runs here, not at the first
     pull."""
-    _require_separable(G, term)
-    levels = _branching(G, term.t, {term.s}, k)[1]
-
-    def generate():
-        for level in levels:
-            for X in sorted(map(canonical, level)):
-                if is_important(G, term, X):
-                    yield X
-
-    return generate()
+    levels = _levels(G, *_root(G, term, k))
+    return (X for level in levels for X in sorted(level) if is_important(G, term, X))
 
 
 def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
@@ -143,6 +126,7 @@ def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
 
     The branching (one flow at the root and one per absorb child of a
     node whose candidate is smaller than k, each warm from its parent's
-    paths) gives at most 4^k candidates, and `is_important` keeps the important ones.
+    paths) gives the candidates, and `is_important` keeps the important
+    ones.
     """
     return list(_iter_important(G, term, k))

@@ -234,6 +234,11 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "witness", P4, "-s", "s", "-t", "t", "-v", "a",
                        "--max-n", "2")
     assert code == 1 and err == "error: n=4 exceeds --max-n 2\n"
+    # witness vertex that is a terminal
+    for v in ("s", "t"):
+        code, out, err = run(capsys, "witness", THETA, "-s", "s", "-t", "t", "-v", v)
+        assert code == 2 and out == ""
+        assert err == "error: witness vertex must differ from the terminals\n"
 
 
 class _ReaderGoneAfterOneLine:

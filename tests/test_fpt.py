@@ -4,7 +4,7 @@ import sepenum as sp
 from sepenum import fpt, important, mincut
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Terminals, parse_graph
-from sepenum.mincut import flow_call_count
+from sepenum.mincut import _min_cut, flow_call_count
 
 from conftest import (
     DIAMOND,
@@ -117,7 +117,7 @@ def test_rewired_graphs_have_only_minimal_separators_of_g_with_larger_keys():
 def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     g, term = band(3, 30)
     seen, tested, offered = set(), [], []
-    minimal_side, candidates = fpt._minimal_side, fpt._important_candidates
+    minimal_side, levels = fpt._minimal_side, fpt._levels
 
     def spy(adj, T, s, t):
         assert adj is g.adj and (s, t) == term
@@ -129,16 +129,16 @@ def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
             seen.add(T)
         return result
 
-    def counted_candidates(H, t, sinks, k, flow=()):
-        found, root = candidates(H, t, sinks, k, flow)
-        offered.extend(found)
-        return found, root
+    def counted_levels(H, k, root):
+        for level in levels(H, k, root):
+            offered.extend(level)
+            yield level
 
     def refuse(*args):
         raise AssertionError("list-minimal runs no importance test")
 
     monkeypatch.setattr(fpt, "_minimal_side", spy)
-    monkeypatch.setattr(fpt, "_important_candidates", counted_candidates)
+    monkeypatch.setattr(fpt, "_levels", counted_levels)
     monkeypatch.setattr(important, "is_important", refuse)
     monkeypatch.setattr(important, "enumerate_important", refuse)
     emitted = list(fpt.iter_small_minimal(g, term, 3))
@@ -158,20 +158,23 @@ def test_sink_set_branchings_give_the_candidates_of_the_star_rewired_graph():
     for seed in range(18):
         g = random_connected_graph(8 + seed % 9, (0.2, 0.3, 0.45)[seed % 3], 1600 + seed)
         cases += [(g, term) for term in nonadjacent_pairs(g)][::7]
+
+    def candidates(H, t, sinks, k, flow=()):  # and the root's value
+        root = _min_cut(H, (t,), sinks, (), flow)
+        return set().union(*important._levels(H, k, root)), root.value
+
     checked = 0
     for g, term in cases:
         for k in range(1, 5):
-            paths = important._important_candidates(g, term.t, {term.s}, k)[1].disjoint_paths()
+            paths = _min_cut(g, (term.t,), (term.s,)).disjoint_paths()
             for S in fpt.iter_small_minimal(g, term, k):
                 side = sp.component_of(g, S, term.s)
                 for v in S:
                     if term.t in g.adj[v]:
                         continue
-                    got, got_root = important._important_candidates(
-                        g, term.t, side | {v}, k, paths)
                     h = sp.add_star(g, term.s, (set(S) | g.adj[v]) - {term.s})
-                    cold, cold_root = important._important_candidates(h, term.t, {term.s}, k)
-                    assert got == cold and got_root.value == cold_root.value
+                    assert (candidates(g, term.t, side | {v}, k, paths)
+                            == candidates(h, term.t, {term.s}, k))
                     checked += 1
     assert checked > 1500
 

@@ -599,6 +599,11 @@ def test_chordless_path_to_separator_examples():
 
 def test_chordless_path_validation():
     g, term = P4.graph, P4.terminals
+    for path in ([1, 2, 3], [0, 1, 2], [0]):
+        with pytest.raises(SepenumError, match="path must start at s and end at t"):
+            sp.chordless_path_to_separator(g, term, path, 1)
+    with pytest.raises(SepenumError, match="path vertices must be distinct"):
+        sp.chordless_path_to_separator(g, term, [0, 1, 2, 1, 2, 3], 1)
     with pytest.raises(SepenumError, match=r"\(s,b\) is not an edge"):
         sp.chordless_path_to_separator(g, term, [0, 2, 3], 2)
     with pytest.raises(SepenumError, match="vertex 's' is a terminal"):

@@ -10,7 +10,7 @@ from sepenum import mincut
 from sepenum.cli import main
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, _component, canonical, parse_graph
-from sepenum.important import _important_candidates, _iter_important
+from sepenum.important import _iter_important, _levels
 from sepenum.mincut import _min_cut, flow_call_count
 
 from conftest import (
@@ -166,8 +166,8 @@ def test_branching_gives_the_two_way_recursions_candidates():
                 raw: set[frozenset] = set()
                 _two_way_candidates(g, frozenset((term.t,)), term.s, frozenset(), k,
                                     frozenset(), raw)
-                assert _important_candidates(g, term.t, (term.s,), k)[0] == {
-                    canonical(X) for X in raw}
+                root = _min_cut(g, (term.t,), (term.s,))
+                assert set().union(*_levels(g, k, root)) == {canonical(X) for X in raw}
                 cases += 1
     assert cases > 5000
 
@@ -189,7 +189,7 @@ def test_every_absorb_branch_starts_from_its_parents_paths(monkeypatch):
     for g, term in cases:
         for k in range(1, 6):
             starts.clear()
-            _important_candidates(g, term.t, (term.s,), k)
+            list(_levels(g, k, _min_cut(g, (term.t,), (term.s,))))
             assert starts[0] == 0  # the root starts cold
             assert all(starts[1:])
             children += len(starts) - 1
