@@ -29,12 +29,19 @@ The furthest cut is the least one of the reversed flow: the backward
 side, finished, holds in(v) in its coordinates exactly when out(v)
 reaches an in(sink).  The failed search ends when either side dies, and
 each cut query finishes only the side it reads, at most O(n + m).
+
 `closest_cut_with(include, excluded)` answers one constrained query with
-one more, one-sided search and no further flow: it seeds in(i) for every
-i in `include`, adds the arc in(e) -> out(e) for every e in `excluded`
-(e is not cut), and fails when it reaches an in(sink) or an out(i).  Each
-constraint is an implication between states, so the feasible sets still
-form a lattice and the least one is the closest feasible cut.
+no further flow and no search: it seeds in(i) for every i in `include`,
+adds the arc in(e) -> out(e) for every e in `excluded` (e is not cut), and
+fails when its closed set holds an in(sink) or an out(i).  Each constraint
+is an implication between states, so the feasible sets still form a
+lattice and the least one is the closest feasible cut.  A closed set
+holds a prefix of each of the κ flow paths, ending at an in-state, so it
+is a κ-vector of positions, and the closure moves those positions with
+reach vectors (after Jagadish 1990): for every state and path, the
+deepest position of that path the state reaches.  They cost κ + 1 sweeps
+over the reversed flow, once, on the first call; each call then costs
+O(κ) per position that moves, plus reading its arguments.
 
 A module-level counter tracks max-flow invocations so that delay
 bounds can be checked externally.
@@ -91,6 +98,20 @@ class _Side:
         self.queue, self.head = list(seeds), 0
         self.rest = iter(self.queue)
 
+    def reseed(self, feed) -> bool:
+        """Seed the next state of the iterator `feed` that the side has not
+        reached, keeping the states it has; False once `feed` runs out."""
+        seen, queue = self.seen, self.queue
+        for x in feed:
+            if seen[x] == -2:
+                seen[x] = -1
+                # a spent list iterator sees no later appends: start anew at x
+                self.rest = iter(queue)
+                self.rest.__setstate__(len(queue))
+                queue.append(x)
+                return True
+        return False
+
 
 class FlowNetwork:
     """Flow state for one (source-set, sink-set) cut computation.
@@ -134,6 +155,7 @@ class FlowNetwork:
         self._bwd = self._side(sink_set, succ)
         self.value = 0
         self._ran = False
+        self._reach = None  # set up by the first closest_cut_with
         is_sink = sink_set.__contains__
         for path in flow:  # the warm-start rule, then link the inner vertices
             if not removed.isdisjoint(path):
@@ -165,7 +187,7 @@ class FlowNetwork:
             seen[2 * v] = -3
         return _Side(seen, link, [2 * v + 1 for v in ends if not adj[v] <= blocked])
 
-    def _grow(self, side: _Side, theirs: list[int], limit=None, uncut=()) -> int:
+    def _grow(self, side: _Side, theirs: list[int], limit=None, feed=()) -> int:
         """The residual BFS: expand `side` over the arcs its `link` gives,
         in rounds, until its frontier holds more than `limit` states or it
         dies (only the latter when `limit` is None).  Return the first
@@ -175,17 +197,18 @@ class FlowNetwork:
         A round expands as many states as the side holds, so it finishes
         the current BFS level, and a side that crosses a long, narrow graph
         does so in a logarithmic number of rounds.  A step into a free in(w)
-        goes on to out(w) and queues out(w) alone.  It lets in(e) step to
-        out(e) for every e in `uncut` even when e is used.
+        goes on to out(w) and queues out(w) alone.  Each time the side
+        dies it is seeded again from the iterator `feed`, if one is given
+        (see `_Side.reseed`), so the states it reaches from each seed and
+        from no earlier one follow that seed in the queue.
         """
-        adj, link, seen, queue, rest = (
-            self.adj, side.link, side.seen, side.queue, side.rest)
+        adj, link, seen, queue = self.adj, side.link, side.seen, side.queue
         head = side.head
         if limit is None:
             limit = len(seen)
-        while head < len(queue):
+        while head < len(queue) or feed and side.reseed(feed):
             end = head + len(queue)
-            for x in islice(rest, len(queue)):
+            for x in islice(side.rest, len(queue)):
                 v = x >> 1
                 if x & 1:
                     for w in adj[v]:
@@ -206,15 +229,7 @@ class FlowNetwork:
                     y = x - 1
                 else:
                     u = link[v]
-                    if u < 0:
-                        y = x + 1
-                    else:
-                        if v in uncut and seen[x + 1] == -2:
-                            seen[x + 1] = x
-                            queue.append(x + 1)
-                            if theirs[x] >= -1:
-                                return x + 1
-                        y = 2 * u + 1
+                    y = x + 1 if u < 0 else 2 * u + 1
                 if seen[y] == -2:
                     seen[y] = x
                     queue.append(y)
@@ -302,28 +317,85 @@ class FlowNetwork:
         self._grow(self._fwd, self._bwd.seen)
         return self._cut(self._fwd)
 
-    def closest_cut_with(self, include=(), excluded=()) -> Separator | None:
+    def closest_cut_with(self, include=(), excluded=(), beyond=None) -> Separator | None:
         """Closest minimum cut that contains `include` and avoids
         `excluded`, or None when no minimum cut does.
 
-        Run after max_flow.  One forward search from the sources'
-        out-states and every in(i), i in `include`, that may also step from
-        in(e) to out(e) for every e in `excluded`; it is infeasible exactly
-        when it reaches an in(sink) or out(i) for some i in `include`,
-        which it marks as the states of an unmoving other side.
+        Run after max_flow.  It starts from the positions of `beyond`, by
+        default the closest cut, else a minimum cut that the answer's
+        closed set contains, such as the answer to fewer constraints.  It
+        raises them to those of in(i), i in `include`, and then, until
+        nothing moves, to the reach of each cut vertex's in-state, or of
+        its out-state when it is excluded, which steps past it.  It is
+        infeasible exactly when a position reaches a sink or moves past an
+        included vertex, or an included vertex lies on no path.
         """
         assert self._ran
         _check_avoids_terminals(self.G, (*self.sources, *self.sinks), include)
-        _require_ids(self.G, excluded)
-        include = set(include)  # in(i) is seeded once, so `_cut` reads i once
-        side = self._side(self.sources, self.pred)
-        side.start([*side.seeds, *(2 * i for i in include)])
-        infeasible = [-2] * len(side.seen)  # in the swapped coordinates
-        for x in (*self._bwd.seeds, *(2 * i for i in include)):
-            infeasible[x] = -1
-        if self._grow(side, infeasible, uncut=set(excluded)) >= 0:
+        if self._reach is None:
+            self._reach_vectors()
+        excluded = frozenset(excluded)  # no copy when it is one
+        if not excluded <= self._ids:
+            _require_ids(self.G, excluded)
+        paths, spot, reach = self._paths, self._spot, self._reach
+        at = [0] * len(paths)
+        for v in self._closest if beyond is None else beyond:
+            j, k = spot[v]
+            at[j] = k
+        pinned = set(map(spot.get, include))
+        if None in pinned:
             return None
-        return self._cut(side)
+        for j, k in pinned:
+            at[j] = max(at[j], k)
+        todo = list(range(len(paths)))
+        while todo:
+            j = todo.pop()
+            v = paths[j][at[j]]
+            x = 2 * v + (v in excluded)
+            for i, R in enumerate(reach):
+                if R[x] > at[i]:
+                    at[i] = R[x]
+                    if at[i] == len(paths[i]) - 1:  # a sink
+                        return None
+                    todo.append(i)
+        if any(at[j] != k for j, k in pinned):
+            return None
+        return tuple(sorted(path[k] for path, k in zip(paths, at)))
+
+    def _reach_vectors(self) -> None:
+        """Set up `closest_cut_with`, once, in O(κ·(n+m)) time.  Position k
+        on flow path j is in(path[k]), the sink last.  reach[j][x] is the
+        deepest position on path j that state x reaches without passing
+        the sources' out-states, which every closed set holds, or the sink
+        on path 0 when x reaches an in(sink).  Each is one sweep over the
+        reversed flow: it reaches x^1 exactly when x reaches a seed, and it
+        seeds the in-states of path j deepest first, or the sinks."""
+        paths = self._paths = self.disjoint_paths()
+        spot = self._spot = {v: (j, k) for j, path in enumerate(paths)
+                             for k, v in enumerate(path[1:-1], 1)}
+        side = self._side(self.sinks, self.succ)
+        seen = side.seen
+        for s in self.sources:  # out(s): in every closed set, and succ[s] names one path
+            seen[2 * s] = -3
+        none = [-2] * len(seen)
+        reach = self._reach = []
+        for path in paths:
+            R = [0] * len(seen)
+            side.start(())
+            self._grow(side, none, feed=(2 * v + 1 for v in reversed(path[1:-1])))
+            for x in side.queue:
+                if seen[x] == -1:
+                    k = spot[x >> 1][1]
+                R[x ^ 1] = k
+            reach.append(R)
+        if paths:
+            side.start(self._bwd.seeds)
+            self._grow(side, none)
+            for x in side.queue:
+                reach[0][x ^ 1] = len(paths[0]) - 1
+        ins = [2 * w for s in self.sources for w in self.adj[s]]
+        self._closest = [path[max(map(R.__getitem__, ins))] for path, R in zip(paths, reach)]
+        self._ids = frozenset(range(len(self.adj)))
 
     def furthest_cut(self) -> Separator:
         """Minimum cut with inclusion-maximal source side.

@@ -11,8 +11,11 @@ s,t-connectivity.
 After the root's maximum flow, the size-κ separators of a cell are the
 closed sets of the root's residual graph under the cell's constraints,
 and `FlowNetwork.closest_cut_with` returns the closest of them, or None,
-with no further flow and in O(n+m).  Only a child of a size-κ cell can
-have size κ, so each such child asks that closure first.  minimum-all
+with no further flow or search.  It starts from the parent's separator,
+whose closed set the child's contains, and moves only the positions on
+the root's κ flow paths that the child's constraints push, at O(κ)
+each.  Only a child of a size-κ cell can have size κ, so each such child
+asks that closure first.  minimum-all
 drops every other child; the ranked stream answers it (I included, U
 excluded) on G with I removed and U uncut (see `FlowNetwork`): its
 minimum is I plus the closest minimum cut, as in saturate(G, U) - I,
@@ -69,7 +72,7 @@ def _lawler(G: Graph, term: Terminals, root: FlowNetwork, flow) -> Iterator[Sepa
         yield S
         for v, include_i in _split(S, include):
             excluded_v = excluded | {v}
-            T = root.closest_cut_with(include_i, excluded_v) if kept is paths else None
+            T = root.closest_cut_with(include_i, excluded_v, S) if kept is paths else None
             child = (T, paths) if T is not None else flow(kept, include_i, excluded_v)
             if child is None:
                 continue

@@ -510,12 +510,14 @@ def _networks_with_excluded_and_include_sets(seed_base: int):
 
 def test_no_free_vertex_in_state_is_queued(monkeypatch):
     # A free vertex's in-state has one residual arc, to its out-state, and
-    # `_grow` takes it in the step that reaches the in-state; only a seed,
-    # such as in(i) for an included i, is queued while its vertex is free.
+    # `_grow` takes it in the step that reaches the in-state; only a seed
+    # is queued while its vertex is free.  That holds for the two cut
+    # reads and for the κ + 1 sweeps that set up the first closure, which
+    # are all the closures' searches: the second closure runs none.
     grow, grown = FlowNetwork._grow, []
 
-    def checked_grow(self, side, theirs, limit=None, uncut=()):
-        met = grow(self, side, theirs, limit, uncut)
+    def checked_grow(self, side, theirs, limit=None, feed=()):
+        met = grow(self, side, theirs, limit, feed)
         assert all(x & 1 or side.link[x >> 1] >= 0 or side.seen[x] == -1
                    for x in side.queue)
         grown.append(len(side.queue))
@@ -528,7 +530,8 @@ def test_no_free_vertex_in_state_is_queued(monkeypatch):
         net.closest_cut()
         net.furthest_cut()
         answers.append(net.closest_cut_with(include, excluded))
-        assert len(grown) == 3
+        net.closest_cut_with(excluded=include)
+        assert net.value and len(grown) == 2 + net.value + 1
     nones = answers.count(None)
     assert len(answers) > 100 and 10 < nones < len(answers) - 10
 

@@ -122,6 +122,28 @@ def test_minimum_stream_runs_one_flow_and_no_rewrites(monkeypatch):
     assert rewrites == [] and emitted[0] == 260
 
 
+def test_minimum_stream_runs_no_residual_search_per_emission(monkeypatch):
+    # After its one flow, minimum-all reads the closest cut once and sets
+    # up the closure once, in κ + 1 sweeps.  Every emission after that is
+    # answered from the reach vectors with no residual search, so the
+    # searches are the same on a band four times as long and do not grow
+    # with the emissions.
+    grow, callers = FlowNetwork._grow, []
+
+    def counted_grow(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return grow(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "_grow", counted_grow)
+    for length in (100, 400):
+        g, term = band(3, length)
+        stream = sp.iter_minimum_separators(g, term)  # runs the root flow
+        callers.clear()
+        for _ in range(2):  # the first 300 emissions, then 300 more
+            assert len(list(islice(stream, 300))) == 300
+            assert callers == ["closest_cut"] + ["_reach_vectors"] * (3 + 1)
+
+
 def test_ranked_cells_and_min_separator_excluding_build_no_graph(monkeypatch):
     # Every cell is answered on G with its excluded set uncut: no module
     # saturates, joins a star or makes a graph with new neighbourhoods.
@@ -159,8 +181,8 @@ def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
         build(self, G, sources, sink, removed, flow, excluded)
         starts.append((len(set(removed)), self.value))
 
-    def closure_spy(self, include=(), excluded=()):
-        T = closure(self, include, excluded)
+    def closure_spy(self, include=(), excluded=(), beyond=None):
+        T = closure(self, include, excluded, beyond)
         closed.append(T is not None)
         return T
 
