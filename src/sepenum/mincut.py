@@ -24,7 +24,8 @@ out(v) not, in the side's own coordinates.
 After a maximum flow, the minimum cuts are exactly the state sets C that
 contain the sources' out-states, avoid every in(sink) and are closed under
 those residual arcs (Picard & Queyranne 1980).  The closest cut is the
-least such set: the forward side of the final, failed search, finished.
+least such set: the forward side of the final, failed search, finished,
+or of a flow known to be maximum, grown from the seeds (`_closest_cut_of`).
 The furthest cut is the least one of the reversed flow: the backward
 side, finished, holds in(v) in its coordinates exactly when out(v)
 reaches an in(sink).  The failed search ends when either side dies, and
@@ -116,10 +117,12 @@ class _Side:
 class FlowNetwork:
     """Flow state for one (source-set, sink-set) cut computation.
 
-    Scratch structure: create, run max_flow once, then query cuts/paths.
-    Vertices in `removed`, never a sink, are absent; those in `excluded`,
-    never an end or removed, are uncut.  Raises TerminalsAdjacent if a
-    sink is a source or next to one, or to an excluded vertex joined to one.
+    Scratch structure: create, run max_flow once, then query cuts/paths;
+    or create from a flow known to be maximum and read its closest cut
+    with no search (`_closest_cut_of`).  Vertices in `removed`, never a
+    sink, are absent; those in `excluded`, never an end or removed, are
+    uncut.  Raises TerminalsAdjacent if a sink is a source or next to
+    one, or to an excluded vertex joined to one.
 
     `flow` is an optional starting flow, such as a parent's paths, passed
     unchanged.  The one warm-start rule drops each path through a removed
@@ -436,6 +439,17 @@ def _min_cut(G: Graph, sources, sinks, removed=(), flow=(), excluded=()) -> Flow
     net = FlowNetwork(G, sources, sinks, removed, flow, excluded)
     net.max_flow()
     return net
+
+
+def _closest_cut_of(G: Graph, sources, sinks, removed, flow, excluded) -> Separator:
+    """The closest cut of `flow`, which the caller knows to be a maximum
+    flow under these constraints, such as a finished network's
+    `disjoint_paths`: its forward side grown from the seeds to the end,
+    with no augmenting search and no flow call."""
+    net = FlowNetwork(G, sources, sinks, removed, flow, excluded)
+    net._ran = True
+    net._fwd.start(net._fwd.seeds)
+    return net.closest_cut()
 
 
 def _terminal_flow(G: Graph, term: Terminals) -> FlowNetwork:

@@ -27,6 +27,18 @@ maximum flow; a size-κ cell keeps the root's.  A child's flow starts
 from them (see `FlowNetwork`), so it needs one augmenting search per
 path it lacks, plus the last, failed one.
 
+A flow child runs its flow when it is queued, but reading its cut, most
+of its cost on a large graph, waits until it pops, which many never do.
+Its size, |I| plus the flow value, is known without the cut, so it is
+queued unresolved under (size, (), n), with n a sequence number: no two
+keys tie, and () sorts before every separator, so the key pops after
+every smaller size and before every (size, T).  When it pops, its cut is
+read from its own paths, a maximum flow, with no search and no flow call
+(see `mincut._closest_cut_of`), and it is queued again under (|T|, T).
+The order is the one of reading every cut at once: when (|S|, S) is the
+least key, every unresolved cell has more than |S| members, so (|S|, S)
+is also the least key that reading them all would give.
+
 The ranked stream is sound (every emission separates the original graph),
 duplicate-free, non-decreasing in size, and emits every *minimal*
 separator; supersets of an emitted separator are pruned by construction,
@@ -36,6 +48,7 @@ size-κ prefix, in the same order, from one flow call.
 
 from collections.abc import Iterator
 from heapq import heappop, heappush
+from itertools import count
 
 from .errors import TerminalsAdjacent
 from .graph import (
@@ -46,7 +59,7 @@ from .graph import (
     is_separator,
     saturate,  # unused, but bench/test_bench.py patches it here
 )
-from .mincut import FlowNetwork, _min_cut, _terminal_flow
+from .mincut import FlowNetwork, _closest_cut_of, _min_cut, _terminal_flow
 
 
 def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
@@ -62,24 +75,34 @@ def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
 def _lawler(G: Graph, term: Terminals, root: FlowNetwork, flow) -> Iterator[Separator]:
     """The queue loop from the root's maximum flow.  A child of a size-κ
     cell, one that kept the root's paths, is the root's closure if it has
-    one; any other child is flow(its parent's kept, include, excluded),
-    or None if it is empty.  The cells partition the separators, so no
-    two share a key (|S|, S)."""
-    S, paths = root.closest_cut(), root.disjoint_paths()
-    queue = [((len(S), S), frozenset(), frozenset(), paths)]
+    one; any other child is flow(its parent's kept, include, excluded):
+    its size and paths, queued unresolved, or None if it is empty.  The
+    cells partition the separators, so no two share a key (|S|, S)."""
+    queue, unresolved = [], count()
+
+    def push(T, include, excluded, kept):
+        assert is_separator(G, term, T)
+        assert include <= set(T) and not excluded & set(T)
+        heappush(queue, ((len(T), T), include, excluded, kept))
+
+    paths = root.disjoint_paths()
+    push(root.closest_cut(), frozenset(), frozenset(), paths)
     while queue:
-        (_, S), include, excluded, kept = heappop(queue)
+        key, include, excluded, kept = heappop(queue)
+        if len(key) == 3:  # an unresolved flow child: read its cut
+            cut = _closest_cut_of(G, (term.s,), (term.t,), include, kept, excluded)
+            push(canonical(cut + tuple(include)), include, excluded, kept)
+            continue
+        S = key[1]
         yield S
         for v, include_i in _split(S, include):
             excluded_v = excluded | {v}
             T = root.closest_cut_with(include_i, excluded_v, S) if kept is paths else None
-            child = (T, paths) if T is not None else flow(kept, include_i, excluded_v)
-            if child is None:
-                continue
-            T, kept_i = child
-            assert is_separator(G, term, T)
-            assert include_i <= set(T) and not excluded_v & set(T)
-            heappush(queue, ((len(T), T), include_i, excluded_v, kept_i))
+            if T is not None:
+                push(T, include_i, excluded_v, paths)
+            elif (child := flow(kept, include_i, excluded_v)) is not None:
+                size, kept_i = child
+                heappush(queue, ((size, (), next(unresolved)), include_i, excluded_v, kept_i))
 
 
 def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
@@ -92,7 +115,7 @@ def iter_ranked_separators(G: Graph, term: Terminals) -> Iterator[Separator]:
             return None
         # include, a proper subset of the parent cell's minimum, cannot separate
         assert net.value > 0, "the include-set alone separates s from t"
-        return canonical(net.closest_cut() + tuple(include)), net.disjoint_paths()
+        return net.value + len(include), net.disjoint_paths()
 
     return _lawler(G, term, _terminal_flow(G, term), flow)
 

@@ -1,6 +1,6 @@
 import sys
 import tracemalloc
-from heapq import heappush
+from heapq import heappop, heappush
 from itertools import islice, takewhile
 
 import pytest
@@ -10,8 +10,8 @@ import sepenum.graph
 import sepenum.mincut
 import sepenum.ranked
 from sepenum.errors import AlreadySeparated, TerminalsAdjacent
-from sepenum.graph import Graph, Terminals, parse_graph, saturate
-from sepenum.mincut import FlowNetwork, flow_call_count
+from sepenum.graph import Graph, Terminals, canonical, parse_graph, saturate
+from sepenum.mincut import FlowNetwork, _min_cut, _terminal_flow, flow_call_count
 
 from conftest import (
     DIAMOND,
@@ -169,45 +169,70 @@ def test_ranked_cells_and_min_separator_excluding_build_no_graph(monkeypatch):
 
 
 def test_every_child_flow_starts_from_its_parents_paths(monkeypatch):
-    # The children of an emitted S are answered while the stream computes
-    # its next item.  A child that has a minimum separator is the root's
-    # closure and builds no network.  Any other child i removes include_i
-    # and is handed all the parent's paths; the network keeps those that
-    # avoid include_i, and each path crosses S - include in one vertex.
-    starts, closed = [], []
-    build, closure = FlowNetwork.__init__, FlowNetwork.closest_cut_with
+    # The children of an emitted S run their flows while the stream
+    # computes its next item.  A child that has a minimum separator is the
+    # root's closure and builds no network.  Any other child i removes
+    # include_i and is handed all the parent's paths; the network keeps
+    # those that avoid include_i, and each path crosses S - include in one
+    # vertex.  Its cut is read when it pops, on a network that runs no
+    # max_flow and starts from the child's own full flow: its value is
+    # |T| - |include| for the T queued right after it.
+    events, ran, closed = [], set(), []
+    build, run = FlowNetwork.__init__, FlowNetwork.max_flow
+    closure = FlowNetwork.closest_cut_with
 
     def spy(self, G, sources, sink, removed=(), flow=(), excluded=()):
         build(self, G, sources, sink, removed, flow, excluded)
-        starts.append((len(set(removed)), self.value))
+        events.append((self, len(set(removed)), self.value))
+
+    def run_spy(self):
+        ran.add(self)
+        return run(self)
 
     def closure_spy(self, include=(), excluded=(), beyond=None):
         T = closure(self, include, excluded, beyond)
         closed.append(T is not None)
         return T
 
+    def recording_push(queue, item):
+        key, include = item[:2]
+        if len(key) == 2:  # (|T|, T), not an unresolved (size, (), n)
+            events.append((None, len(include), key[1]))
+        heappush(queue, item)
+
     monkeypatch.setattr(FlowNetwork, "__init__", spy)
+    monkeypatch.setattr(FlowNetwork, "max_flow", run_spy)
     monkeypatch.setattr(FlowNetwork, "closest_cut_with", closure_spy)
+    monkeypatch.setattr(sepenum.ranked, "heappush", recording_push)
     cases = [(*band(3, 30), 200)]
     for seed in range(12):
         g = random_connected_graph(6 + seed % 4, (0.3, 0.45)[seed % 2], 4100 + seed)
         cases += [(g, term, None) for term in nonadjacent_pairs(g)]
-    flows = children = 0
+    flows = closures = reads = 0
     for g, term, limit in cases:
-        starts.clear()
+        events.clear()
         stream = islice(sp.iter_ranked_separators(g, term), limit)
-        assert starts == [(0, 0)]  # the terminal flow starts from zero
-        starts.clear()
+        # the terminal flow starts from zero
+        assert [(net in ran, *start) for net, *start in events] == [(True, 0, 0)]
         parent = next(stream)
+        events.clear()
         while parent is not None:
-            S = next(stream, None)  # answers the children of parent
-            assert all(warm == len(parent) - include for include, warm in starts)
-            flows += len(starts)
-            children += len(starts) + sum(closed)
-            starts.clear()
+            S = next(stream, None)  # runs the flows of parent's children
+            for i, (net, include, warm) in enumerate(events):
+                if net is None:
+                    continue
+                if net in ran:
+                    assert warm == len(parent) - include
+                    flows += 1
+                else:
+                    assert events[i + 1][:2] == (None, include)
+                    assert warm == len(events[i + 1][2]) - include
+                    reads += 1
+            closures += sum(closed)
+            events.clear()
             closed.clear()
             parent = S
-    assert children > 500 and flows > 250
+    assert flows + closures > 500 and flows > 250 and reads > 50
 
 
 def test_children_of_minimum_cells_run_a_flow_only_past_kappa(monkeypatch):
@@ -238,8 +263,10 @@ def test_children_of_minimum_cells_run_a_flow_only_past_kappa(monkeypatch):
 
 @pytest.mark.skipif(not __debug__, reason="the soundness check is an assert")
 def test_every_pushed_child_is_checked_to_separate(monkeypatch):
-    # `_lawler` asserts that each child it queues separates s from t in G,
-    # once per child and on the very separator it pushes.
+    # `_lawler` asserts that each separator it queues under a resolved key
+    # (|T|, T) separates s from t in G, once and on that very separator: a
+    # closure child's when it is pushed, a flow child's when its cut is
+    # read.  Every emission is among them.
     checked, pushed = [], []
 
     def checked_separator(G, term, X):
@@ -247,7 +274,8 @@ def test_every_pushed_child_is_checked_to_separate(monkeypatch):
         return sepenum.graph.is_separator(G, term, X)
 
     def recording_push(queue, item):
-        pushed.append(item[0][1])
+        if len(item[0]) == 2:  # (|T|, T), not an unresolved (size, (), n)
+            pushed.append(item[0][1])
         heappush(queue, item)
 
     monkeypatch.setattr(sepenum.ranked, "is_separator", checked_separator)
@@ -255,5 +283,95 @@ def test_every_pushed_child_is_checked_to_separate(monkeypatch):
     for g, term in (band(3, 30), band(4, 12)):
         checked.clear()
         pushed.clear()
-        assert len(list(islice(sp.iter_ranked_separators(g, term), 400))) == 400
+        emitted = list(islice(sp.iter_ranked_separators(g, term), 400))
+        assert len(emitted) == 400
         assert checked == pushed and len(pushed) > 400
+        assert set(emitted) <= set(checked)
+
+
+def test_ranked_reads_a_flow_childs_cut_only_when_it_pops(monkeypatch):
+    # A flow child runs its flow when it is queued and has its cut read
+    # when it pops.  The first 100 emissions on B(3,30) all have size
+    # κ = 3, so no flow child pops and the root's is the only cut read;
+    # reading each flow child's cut when it was queued took 111.
+    reads, popped = [], []
+    closest, pop = FlowNetwork.closest_cut, heappop
+
+    def counted_cut(self):
+        reads.append(self)
+        return closest(self)
+
+    def recording_pop(queue):
+        item = pop(queue)
+        popped.append(len(item[0]) == 3)  # an unresolved (size, (), n)
+        return item
+
+    monkeypatch.setattr(FlowNetwork, "closest_cut", counted_cut)
+    monkeypatch.setattr(sepenum.ranked, "heappop", recording_pop)
+    g, term = band(3, 30)
+    assert len(list(islice(sp.iter_ranked_separators(g, term), 100))) == 100
+    assert len(reads) == 1
+    flows = total = 0
+    for n, p, seed in ((60, 0.06, 4700), (90, 0.04, 4701), (120, 0.03, 4702)):
+        g = random_connected_graph(n, p, seed)
+        for term in nonadjacent_pairs(g)[:3]:
+            reads.clear()
+            popped.clear()
+            before = flow_call_count()
+            list(islice(sp.iter_ranked_separators(g, term), 100))
+            assert len(reads) <= sum(popped) + 1
+            flows += flow_call_count() - before
+            total += len(reads)
+    assert total < flows / 2
+
+
+def _eager_ranked(G, term):
+    """The Lawler loop of `ranked` as it was before the deferral: every
+    flow child's cut is read when the child is queued."""
+    root = _terminal_flow(G, term)
+    S, paths = root.closest_cut(), root.disjoint_paths()
+    queue = [((len(S), S), frozenset(), frozenset(), paths)]
+    while queue:
+        (_, S), include, excluded, kept = heappop(queue)
+        yield S
+        prefix = []
+        for v in S:
+            if v in include:
+                continue
+            include_i, excluded_v = include | set(prefix), excluded | {v}
+            prefix.append(v)
+            T = root.closest_cut_with(include_i, excluded_v, S) if kept is paths else None
+            kept_i = paths
+            if T is None:
+                try:
+                    net = _min_cut(G, (term.s,), (term.t,), include_i, kept, excluded_v)
+                except TerminalsAdjacent:
+                    continue
+                T = canonical(net.closest_cut() + tuple(include_i))
+                kept_i = net.disjoint_paths()
+            heappush(queue, ((len(T), T), include_i, excluded_v, kept_i))
+
+
+def _emissions_and_flows(make_stream, limit):
+    """Each emission with the flow calls made since the one before it, or
+    since the stream was made."""
+    out, before = [], flow_call_count()
+    for S in islice(make_stream(), limit):
+        out.append((S, flow_call_count() - before))
+        before = flow_call_count()
+    return out
+
+
+def test_ranked_equals_the_eager_loop_past_the_oracles():
+    # No oracle past n = 16: the stream must be the eager loop's, item for
+    # item, with the same flow calls before each emission.
+    cases = [(*band(3, 30), 300), (*band(4, 12), 400)]
+    for n, p, seed in ((100, 0.035, 4402), (200, 0.02, 4400), (300, 0.015, 4402)):
+        g = random_connected_graph(n, p, seed)
+        cases.append((g, Terminals(0, n - 1), 300))
+    emitted = 0
+    for g, term, limit in cases:
+        eager = _emissions_and_flows(lambda: _eager_ranked(g, term), limit)
+        assert _emissions_and_flows(lambda: sp.iter_ranked_separators(g, term), limit) == eager
+        emitted += len(eager)
+    assert emitted > 1500
