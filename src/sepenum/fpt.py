@@ -3,16 +3,24 @@
 A priority queue pops separators in ascending (|s-side component|,
 members) order.  It takes each unseen raw candidate of the important
 branching from t that is a minimal separator of G: toward s for the
-seeds, and once S is emitted toward C_s + {v}, C_s the s-side component
-of G - S, for each v of S not next to t.  That is the branching toward s
-on G with s joined to S and N(v) and the set contracted into s; as the
-set is connected and holds s, a candidate, which avoids it, is minimal
+seeds, and once S is emitted toward X = C_s + {v}, C_s the s-side
+component of G - S, for each v of S not next to t.  That is the branching
+toward s on G with s joined to S and N(v) and the set contracted into s;
+as X is connected and holds s, a candidate, which avoids it, is minimal
 there iff it is minimal in G, so the filter runs on G.  Such a separator
 avoids C_s and v, so its key is strictly larger than S's; the important
 ones make the stream complete, and a seen-set makes each appear once.
-The stream runs each branching's root flow itself, every one after the
-seed's from the seed root's paths, and takes its candidates from
-`important._levels`.
+
+Each emission builds one unrun network toward C_s, warm from the seed
+root's paths, and each branching runs its root flow on a copy with v
+added to the sinks (`FlowNetwork._with_sink`).  The filter reads no
+neighbourhood inside X: s's component of G - T is X plus what grows from
+N(X) - T (`graph._side_beyond`).  No t-side walk is needed, as every raw
+candidate T = removed + C of `important._levels` has N(comp_t(T)) = T.
+A vertex of the node's cut C ends the prefix of its flow path that
+avoids T, so it is next to the node's source side, which is connected,
+holds t and avoids T; a removed vertex is next to the source side of the
+ancestor whose cut held it, which lies inside the node's sources.
 """
 
 from collections.abc import Iterator
@@ -22,39 +30,52 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
-    _minimal_side,
+    _side_beyond,
     add_star,  # unused, but bench/test_bench.py patches it here
 )
 from .important import _levels, _root
-from .mincut import _min_cut
+from .mincut import FlowNetwork
 
 
 def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     """Yield every minimal s,t-separator of size at most k exactly once."""
     # eager, so bad input raises here and not at the first pull
     k, root = _root(G, term, k)
+    s, t = term
     seeds = set().union(*_levels(G, k, root))
     paths = root.disjoint_paths()
 
+    def branchings(S: Separator, side: set[int]):
+        """Each branching toward X = side + {v}, v in S not next to t, as
+        (its candidates, X, N(X)), every root a copy of one template."""
+        template = None
+        for v in S:
+            if t in G.adj[v]:
+                continue
+            template = template or FlowNetwork(G, (t,), side, (), paths)
+            net = template._with_sink(v)
+            net.max_flow()
+            X = net.sinks  # N(X) = (S + N(v)) - X, as N(C_s) = S
+            yield set().union(*_levels(G, k, net)), X, set(S).union(G.adj[v]) - X
+
     def generate():
-        queue: list[tuple[int, Separator, set[int]]] = []
+        queue: list[tuple[int, Separator, set[int], set[int]]] = []
         seen: set[Separator] = set()
-        comp_size, branched = 0, [seeds]
+        comp_size, branched = 0, [(seeds, {s}, G.adj[s])]
         while True:
-            for candidates in branched:
-                for T in candidates:  # one walk tests T and gives its s-side
-                    if T in seen or (comp := _minimal_side(G.adj, set(T), *term)) is None:
+            for candidates, inside, rim in branched:
+                for T in candidates:  # T avoids X, so its s-side holds X
+                    if T in seen or (grown := _side_beyond(G.adj, set(T), inside, rim, t)) is None:
                         continue
                     seen.add(T)
-                    assert len(comp) > comp_size
-                    heappush(queue, (len(comp), T, comp))  # T is unique: no set compares
+                    size = len(inside) + len(grown)
+                    assert size > comp_size
+                    heappush(queue, (size, T, inside, grown))  # T is unique: no set compares
             if not queue:
                 return
-            comp_size, S, side = heappop(queue)
+            comp_size, S, inside, grown = heappop(queue)
             assert len(S) <= k
             yield S
-            roots = (_min_cut(G, (term.t,), side | {v}, (), paths)
-                     for v in S if term.t not in G.adj[v])
-            branched = (set().union(*_levels(G, k, net)) for net in roots)
+            branched = branchings(S, inside | grown)
 
     return generate()

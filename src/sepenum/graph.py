@@ -234,20 +234,32 @@ def is_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     return not _connected(G.adj, *term, set(members))
 
 
-def _minimal_side(adj, xset: AbstractSet[int], s: int, t: int) -> set[int] | None:
-    """s's component of G minus xset if xset is a minimal s,t-separator,
-    that is if it and t's component both have N = xset; else None."""
-    comp_s = _component(adj, (s,), xset)
-    if t in comp_s or _boundary(adj, comp_s) != xset:
-        return None
-    return comp_s if _boundary(adj, _component(adj, (t,), xset)) == xset else None
+def _side_beyond(adj, T: AbstractSet[int], inside: AbstractSet[int],
+                 rim: AbstractSet[int], t: int) -> set[int] | None:
+    """The rest of the component of G minus T that holds `inside`, when it
+    avoids t and has N = T; else None.  `inside` is connected and avoids T,
+    and rim = N(inside): the component grows from rim - T, and a member of
+    T is next to it when it is in rim or next to the growth, so no
+    neighbourhood inside `inside` is read."""
+    grown = frontier = rim - T
+    hit = rim & T
+    while frontier:
+        if t in frontier:
+            return None
+        around = set().union(*[adj[v] for v in frontier])
+        hit |= around & T
+        frontier = around - T - inside - grown
+        grown |= frontier
+    return grown if len(hit) == len(T) else None
 
 
 def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     """True iff X separates and both terminal components are full."""
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
-    return _minimal_side(G.adj, set(members), *term) is not None
+    adj, xset = G.adj, set(members)
+    return (_side_beyond(adj, xset, {term.s}, adj[term.s], term.t) is not None
+            and _boundary(adj, _component(adj, (term.t,), xset)) == xset)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,9 @@ class FlowNetwork:
     its first sink and splices out the excluded vertices; the rest must be
     a flow of G with `excluded` saturated.  max_flow then only augments,
     to a cold start's value and cuts, since every maximum flow leaves the
-    same vertices residual-reachable.
+    same vertices residual-reachable.  An unrun network may be copied with
+    one more sink (`_with_sink`), so that the sinks it shares with its
+    copies are set up once.
     """
 
     def __init__(self, G: Graph, sources, sinks, removed=(), flow=(), excluded=()):
@@ -176,6 +178,29 @@ class FlowNetwork:
             assert path[-1] in G.adj[path[-2]] or self._is_spliced(path[-2], path[-1])
             self.value += 1
 
+    def _with_sink(self, v: int) -> "FlowNetwork":
+        """A copy of this unrun network with v added to its sinks, as the
+        constructor would build it: the lists are copied by slicing, a warm
+        path through v ends there, and the backward side blocks in(v) and
+        seeds out(v).  The rest costs v's path and neighbourhood."""
+        assert not self._ran and v not in self.sinks and v not in self._removed
+        _require_apart(self.G, self._joined.union(self.sources), {v})
+        net = FlowNetwork.__new__(FlowNetwork)
+        net.__dict__.update(self.__dict__)
+        pred, succ = net.pred, net.succ = self.pred[:], self.succ[:]
+        if pred[v] >= 0:  # the warm-start rule: free v and the rest of its path
+            nxt = v
+            while nxt not in self.sinks:
+                w, nxt = nxt, succ[nxt]
+                pred[w] = succ[w] = -1
+        sinks = net.sinks = self.sinks | {v}
+        net._fwd = _Side(self._fwd.seen[:], pred, self._fwd.seeds)
+        bwd = net._bwd = _Side(self._bwd.seen[:], succ, self._bwd.seeds)
+        bwd.seen[2 * v] = -3
+        if not self.adj[v] - sinks <= self._removed:
+            bwd.seeds = [*bwd.seeds, 2 * v + 1]
+        return net
+
     def _is_spliced(self, u: int, w: int) -> bool:  # both ends touch an excluded vertex
         return bool(self._excluded & self.adj[u] and self._excluded & self.adj[w])
 
@@ -183,7 +208,8 @@ class FlowNetwork:
         """A new side from `ends`, in its own coordinates: it never enters
         the in-state of an end or a removed vertex, and seeds only the ends
         with a neighbour outside those.  Its searches cost a sink set's
-        boundary; setting it up is linear in the set."""
+        boundary; setting it up is linear in the set, once for all the
+        copies that `_with_sink` makes."""
         adj, blocked = self.adj, self._removed.union(ends)
         seen = [-2] * (2 * len(adj))
         for v in blocked:

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 import sepenum as sp
 from sepenum import fpt, important, mincut
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
-from sepenum.graph import Terminals, parse_graph
+from sepenum.graph import Graph, Terminals, _boundary, _component, parse_graph
 from sepenum.mincut import _min_cut, flow_call_count
 
 from conftest import (
@@ -11,6 +13,7 @@ from conftest import (
     P4,
     THETA,
     band,
+    grid,
     nonadjacent_pairs,
     pop_key,
     random_connected_graph,
@@ -117,17 +120,18 @@ def test_rewired_graphs_have_only_minimal_separators_of_g_with_larger_keys():
 def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     g, term = band(3, 30)
     seen, tested, offered = set(), [], []
-    minimal_side, levels = fpt._minimal_side, fpt._levels
+    side_beyond, levels = fpt._side_beyond, fpt._levels
 
-    def spy(adj, T, s, t):
-        assert adj is g.adj and (s, t) == term
+    def spy(adj, T, inside, rim, t):
+        assert adj is g.adj and t == term.t
         T = tuple(sorted(T))
         assert T not in seen  # no emission is tested again
-        result = minimal_side(adj, set(T), s, t)
+        grown = side_beyond(adj, set(T), inside, rim, t)
+        assert (grown is not None) == sp.is_minimal_separator(g, term, T)
         tested.append(T)
-        if result is not None:
+        if grown is not None:
             seen.add(T)
-        return result
+        return grown
 
     def counted_levels(H, k, root):
         for level in levels(H, k, root):
@@ -137,7 +141,7 @@ def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     def refuse(*args):
         raise AssertionError("list-minimal runs no importance test")
 
-    monkeypatch.setattr(fpt, "_minimal_side", spy)
+    monkeypatch.setattr(fpt, "_side_beyond", spy)
     monkeypatch.setattr(fpt, "_levels", counted_levels)
     monkeypatch.setattr(important, "is_important", refuse)
     monkeypatch.setattr(important, "enumerate_important", refuse)
@@ -180,45 +184,52 @@ def test_sink_set_branchings_give_the_candidates_of_the_star_rewired_graph():
 
 
 def test_sink_set_branchings_run_on_g_and_start_from_the_seed_flow(monkeypatch):
+    # every network is built on G, and each sink-set network is a copy of
+    # its emission's template, which starts from the seed root's paths
     g, term = band(3, 30)
-    searches, sink_sets, cold = [0], [0], []
+    searches, copies, cold = [0], [0], []
     init, search = mincut.FlowNetwork.__init__, mincut.FlowNetwork._search
+    with_sink = mincut.FlowNetwork._with_sink
 
     def recording_init(self, G, sources, sinks, removed=(), flow=(), excluded=()):
         assert G is g
-        if set(sinks) != {term.s}:
-            sink_sets[0] += 1
-            if not flow:
-                cold.append(sorted(sources))
+        if set(sinks) != {term.s} and not flow:
+            cold.append(sorted(sources))
         init(self, G, sources, sinks, removed, flow, excluded)
+
+    def counted_with_sink(self, v):
+        copies[0] += 1
+        assert self.G is g and self.value == len(self.disjoint_paths()) > 0
+        return with_sink(self, v)
 
     def counted_search(self):
         searches[0] += 1
         return search(self)
 
     monkeypatch.setattr(mincut.FlowNetwork, "__init__", recording_init)
+    monkeypatch.setattr(mincut.FlowNetwork, "_with_sink", counted_with_sink)
     monkeypatch.setattr(mincut.FlowNetwork, "_search", counted_search)
     before = flow_call_count()
     assert len(list(fpt.iter_small_minimal(g, term, 3))) == 260
     flows = flow_call_count() - before
-    assert sink_sets[0] > 0 and cold == []
+    assert copies[0] == flows - 1 and cold == []
     # a cold root pays one search per path plus the failed one
     assert searches[0] <= 1.25 * flows
 
 
 def test_no_backward_side_enters_the_s_side_of_an_emission(monkeypatch):
     # After S is emitted, every branching toward C_s + {v} must cost the
-    # boundary of that set, not its interior: no backward side of those
-    # networks reaches a state of a vertex of C_s beyond its seeds.  The
-    # stream builds no graph on the way.
+    # boundary of that set, not its interior: no backward side of the
+    # networks that run a flow reaches a state of a vertex of C_s beyond
+    # its seeds.  The stream builds no graph on the way.
     g, term = band(3, 30)
     interior, networks = [set()], []
-    init, grow = mincut.FlowNetwork.__init__, mincut.FlowNetwork._grow
+    max_flow, grow = mincut.FlowNetwork.max_flow, mincut.FlowNetwork._grow
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording_max_flow(self):
         networks.append(self)
         self.interior = interior[0]
+        return max_flow(self)
 
     def checked_grow(self, side, *args, **kwargs):
         met = grow(self, side, *args, **kwargs)
@@ -229,7 +240,7 @@ def test_no_backward_side_enters_the_s_side_of_an_emission(monkeypatch):
     def refuse(*args):
         raise AssertionError("list-minimal builds no graph")
 
-    monkeypatch.setattr(mincut.FlowNetwork, "__init__", recording_init)
+    monkeypatch.setattr(mincut.FlowNetwork, "max_flow", recording_max_flow)
     monkeypatch.setattr(mincut.FlowNetwork, "_grow", checked_grow)
     for module, name in ((sp.graph, "add_star"), (fpt, "add_star"),
                          (sp.graph, "saturate")):
@@ -240,6 +251,82 @@ def test_no_backward_side_enters_the_s_side_of_an_emission(monkeypatch):
         emitted += 1
     assert emitted == 260 and len(networks) > 700
     assert max(len(net.interior) for net in networks) > 80
+
+
+def test_list_minimal_builds_one_network_per_emission_and_filters_on_the_boundary(monkeypatch):
+    # On B(3,30) with k = 3 no node has room for an absorb child, so the
+    # only networks the constructor builds are the seed root and at most
+    # one template per emission; the filter reads no neighbourhood of the
+    # sink set X it grows from
+    g, term = band(3, 30)
+    built, read, read_inside = [0], [], []
+    init, side_beyond = mincut.FlowNetwork.__init__, fpt._side_beyond
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    class Reads:
+        def __init__(self, inside):
+            self.inside = inside
+
+        def __getitem__(self, v):
+            read.append(v)
+            if v in self.inside:
+                read_inside.append(v)
+            return g.adj[v]
+
+    def spy(adj, T, inside, rim, t):
+        return side_beyond(Reads(inside), T, inside, rim, t)
+
+    monkeypatch.setattr(mincut.FlowNetwork, "__init__", counted_init)
+    monkeypatch.setattr(fpt, "_side_beyond", spy)
+    emitted = len(list(fpt.iter_small_minimal(g, term, 3)))
+    assert emitted == 260 and built[0] <= emitted + 1
+    assert len(read) > emitted and read_inside == []
+
+
+def _tree(n: int, seed: int) -> tuple[Graph, Terminals]:
+    """A random tree, each vertex joined to an earlier one; s = 0 and t
+    the last vertex."""
+    rng = random.Random(seed)
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]), Terminals(0, n - 1)
+
+
+def test_every_raw_candidate_is_the_boundary_of_its_t_side(monkeypatch):
+    # The stream filters candidates on the s-side alone.  For a raw
+    # candidate T = removed + C of the branching from t, N(comp_t(T)) = T:
+    # each vertex of C is next to its node's source side, which is
+    # connected, holds t and avoids T, and each removed vertex is next to
+    # an ancestor's source side, which lies inside the node's sources.
+    cases = [band(2, 40), band(3, 30), band(4, 12), grid(6), grid(9)]
+    cases += [_tree(n, 1900 + n) for n in (12, 40, 120)]
+    for seed in range(32):
+        g = random_connected_graph(12 + 6 * (seed % 8), (0.25, 0.15, 0.1)[seed % 3], 1800 + seed)
+        cases += [(g, term) for term in nonadjacent_pairs(g)[seed::37][:3]]
+    checked, absorbed = [0], [0]
+    levels, min_cut = fpt._levels, important._min_cut
+
+    def counted_min_cut(*args):  # an absorb child: its candidates have removed vertices
+        absorbed[0] += 1
+        return min_cut(*args)
+
+    def checked_levels(H, k, root):
+        for level in levels(H, k, root):
+            for T in level:
+                blocked = set(T)
+                assert _boundary(H.adj, _component(H.adj, (term.t,), blocked)) == blocked
+                checked[0] += 1
+            yield level
+
+    monkeypatch.setattr(fpt, "_levels", checked_levels)
+    monkeypatch.setattr(important, "_min_cut", counted_min_cut)
+    for g, term in cases:
+        assert g.n <= 120
+        for k in range(2, 5):
+            for _ in fpt.iter_small_minimal(g, term, k):
+                pass
+    assert checked[0] > 6000 and absorbed[0] > 500
 
 
 def test_only_the_seed_root_decomposes_its_flow_into_paths(monkeypatch):

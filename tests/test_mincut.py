@@ -459,6 +459,58 @@ def test_flow_network_checks_a_sink_set_like_a_single_sink():
     assert net.disjoint_paths() == [[0, 1, 2], [0, 3, 4]]
 
 
+def test_a_network_copied_with_one_more_sink_is_the_one_the_constructor_builds():
+    # `_with_sink(v)` copies an unrun network with v added to its sinks.
+    # Before max_flow it holds the constructor's warm paths and sides, up
+    # to seeds with no neighbour outside the sinks, which reach nothing;
+    # after it, the same value, canonical cuts and path count.  The warm
+    # paths come from a flow toward one sink, so v lies on one before its
+    # first sink, on one after it, or on none.  The template is unchanged.
+    cases = dict.fromkeys(("before", "after", "off"), 0)
+    for seed in range(60):
+        g = random_connected_graph(8 + seed % 17, (0.15, 0.25, 0.4)[seed % 3], 1700 + seed)
+        rng = random.Random(seed)
+        t = rng.randrange(g.n)
+        far = [v for v in range(g.n) if v != t and t not in g.adj[v]]
+        if len(far) < 2:
+            continue
+        s = rng.choice(far)
+        paths = FlowNetwork(g, (t,), (s,))
+        paths.max_flow()
+        paths = paths.disjoint_paths()
+        inner = [v for path in paths for v in path[2:-2] if v in far]  # room for "after"
+        sinks = {s, *rng.sample(far, rng.randrange(len(far) // 3))}
+        sinks.update(rng.sample(inner, len(inner) > 0))
+        template = FlowNetwork(g, (t,), sinks, (), paths)
+        pred, succ = template.pred[:], template.succ[:]
+        for v in sorted(set(far) - sinks):
+            on = [path for path in paths if v in path]
+            if not on:
+                cases["off"] += 1
+            elif sinks.isdisjoint(on[0][:on[0].index(v)]):
+                cases["before"] += 1
+            else:
+                cases["after"] += 1
+            net = template._with_sink(v)
+            ref = FlowNetwork(g, (t,), sinks | {v}, (), paths)
+            assert (net.sinks, net.value, net.pred, net.succ) == (ref.sinks, ref.value,
+                                                                  ref.pred, ref.succ)
+            assert net._fwd.seen == ref._fwd.seen and net._bwd.seen == ref._bwd.seen
+            assert net._fwd.seeds == ref._fwd.seeds
+            extra = set(net._bwd.seeds) - set(ref._bwd.seeds)
+            assert set(ref._bwd.seeds) <= set(net._bwd.seeds)
+            assert all(g.adj[x >> 1] <= ref.sinks for x in extra)
+            assert net.max_flow() == ref.max_flow()
+            assert net.closest_cut() == ref.closest_cut()
+            assert net.furthest_cut() == ref.furthest_cut()
+            assert len(net.disjoint_paths()) == len(ref.disjoint_paths()) == net.value
+        for v in (t, *g.adj[t]):
+            with pytest.raises(TerminalsAdjacent):
+                template._with_sink(v)
+        assert (template.pred, template.succ, template._ran) == (pred, succ, False)
+    assert min(cases.values()) > 20, cases
+
+
 def test_flow_network_frees_a_vertex_a_later_path_crosses_backwards():
     # In this adjacency order the first path is 0-14-13-10-15; the second
     # runs 0-8-5-10, back through 13 to 14, then on to 9-6-12-15, and so
