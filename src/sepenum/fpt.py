@@ -11,16 +11,23 @@ there iff it is minimal in G, so the filter runs on G.  Such a separator
 avoids C_s and v, so its key is strictly larger than S's; the important
 ones make the stream complete, and a seen-set makes each appear once.
 
-Each emission builds one unrun network toward C_s, warm from the seed
-root's paths, and each branching runs its root flow on a copy with v
-added to the sinks (`FlowNetwork._with_sink`).  The filter reads no
-neighbourhood inside X: s's component of G - T is X plus what grows from
-N(X) - T (`graph._side_beyond`).  No t-side walk is needed, as every raw
-candidate T = removed + C of `important._levels` has N(comp_t(T)) = T.
-A vertex of the node's cut C ends the prefix of its flow path that
-avoids T, so it is next to the node's source side, which is connected,
-holds t and avoids T; a removed vertex is next to the source side of the
-ancestor whose cut held it, which lies inside the node's sources.
+The rim N(X) = (S + N(v)) - X fixes X: X is connected and holds s, so
+it is s's component of G - N(X).  A network's answer does not depend on
+its warm start, so a branching's candidates and the filter's answers for
+them depend only on G, t, k and X.  A repeated branching would offer
+only candidates already queued or refused, so the stream reads each rim
+before it builds any network and branches toward each sink set once.  An
+emission with a new rim builds one unrun network toward C_s, warm from
+the seed root's paths, and each new branching runs its root flow on a
+copy with v added to the sinks (`FlowNetwork._with_sink`).  The filter
+reads no neighbourhood inside X: s's component of G - T is X plus what
+grows from N(X) - T (`graph._side_beyond`).  No t-side walk is needed,
+as every raw candidate T = removed + C of `important._levels` has
+N(comp_t(T)) = T.  A vertex of the node's cut C ends the prefix of its
+flow path that avoids T, so it is next to the node's source side, which
+is connected, holds t and avoids T; a removed vertex is next to the
+source side of the ancestor whose cut held it, which lies inside the
+node's sources.
 """
 
 from collections.abc import Iterator
@@ -45,18 +52,23 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
     seeds = set().union(*_levels(G, k, root))
     paths = root.disjoint_paths()
 
+    rims: set[frozenset[int]] = set()  # N(X) of each sink set X branched toward
+
     def branchings(S: Separator, side: set[int]):
-        """Each branching toward X = side + {v}, v in S not next to t, as
-        (its candidates, X, N(X)), every root a copy of one template."""
+        """Each branching toward a new X = side + {v}, v in S not next to
+        t, as (its candidates, X, N(X)), every root a copy of one template."""
         template = None
         for v in S:
             if t in G.adj[v]:
                 continue
+            rim = set(S).union(G.adj[v]) - side - {v}  # N(X), as N(C_s) = S
+            if (key := frozenset(rim)) in rims:
+                continue
+            rims.add(key)
             template = template or FlowNetwork(G, (t,), side, (), paths)
             net = template._with_sink(v)
             net.max_flow()
-            X = net.sinks  # N(X) = (S + N(v)) - X, as N(C_s) = S
-            yield set().union(*_levels(G, k, net)), X, set(S).union(G.adj[v]) - X
+            yield set().union(*_levels(G, k, net)), net.sinks, rim
 
     def generate():
         queue: list[tuple[int, Separator, set[int], set[int]]] = []

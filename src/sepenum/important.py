@@ -26,6 +26,14 @@ j are final: the CLI's `important` streams them size by size, and
 `enumerate_important` lists them all.  `_levels` is the one entry into
 the branching, and its callers run the root flow: `_root` toward s for
 both streams, and `list-minimal` toward each of its sink sets.
+
+A candidate that a node with no removed vertex yields is important, and
+needs no test.  Such a node has sources A and cut C, the furthest
+minimum (A, s)-cut of G; let R = comp_t(G - C).  A lies in R, so the
+(R, s)-connectivity is |C|, every minimum (R, s)-cut is a minimum
+(A, s)-cut, and C's source side holds its source side: C is the
+furthest minimum (R, s)-cut, which is what `is_important` tests.  The
+branching marks these candidates, and the filter runs only on the rest.
 """
 
 from collections.abc import Iterator
@@ -66,12 +74,14 @@ def _root(G: Graph, term: Terminals, k: int) -> tuple[int, FlowNetwork]:
     return min(k, G.n - 2), _min_cut(G, (term.t,), (term.s,))
 
 
-def _levels(G: Graph, k: int, root: FlowNetwork) -> Iterator[set[Separator]]:
+def _levels(G: Graph, k: int, root: FlowNetwork) -> Iterator[dict[Separator, bool]]:
     """The branching's raw candidates of size 0, 1, ..., k as canonical
-    separators, one set each, best first from the root, whose flow from t
-    toward its sinks has run from any start (no sink may be t or next to
+    separators, one dict each, best first from the root, whose flow from
+    t toward its sinks has run from any start (no sink may be t or next to
     it).  They are at most 4^k sets, not all minimal, including every
-    important separator of size at most k.
+    important separator of size at most k.  Each maps to True when a node
+    with no removed vertex yields it, which certifies it important toward
+    the sinks.
 
     Joining needs no flow: with v of C removed the value is one less and
     the furthest cut is C - {v}, since a cut D of G - v gives the cut
@@ -89,7 +99,7 @@ def _levels(G: Graph, k: int, root: FlowNetwork) -> Iterator[set[Separator]]:
     cut off.
     """
     sinks = root.sinks
-    levels: list[set[frozenset]] = [set() for _ in range(k + 1)]
+    levels: list[dict[frozenset, bool]] = [{} for _ in range(k + 1)]
     queued: list[list] = [[] for _ in range(k + 1)]
     queued[0].append((frozenset(), tuple(root.sources), 0, frozenset(), ()))
     for b in range(k + 1):
@@ -99,7 +109,8 @@ def _levels(G: Graph, k: int, root: FlowNetwork) -> Iterator[set[Separator]]:
             if size > k:
                 continue
             cut = net.furthest_cut()
-            levels[size].add(removed.union(cut))
+            T = removed.union(cut)
+            levels[size][T] = levels[size].get(T, False) or not removed
             if size < k:  # else every absorb child is over budget
                 reach = above | _component(G.adj, start, above.union(removed, cut))
                 paths = net.disjoint_paths()
@@ -108,17 +119,19 @@ def _levels(G: Graph, k: int, root: FlowNetwork) -> Iterator[set[Separator]]:
                         queued[size + 1].append(
                             (reach, cut, j, removed.union(cut[:j]), paths))
         queued[b].clear()  # release the processed children
-        yield set(map(canonical, levels[b]))
+        yield {canonical(T): marked for T, marked in levels[b].items()}
 
 
 def _iter_important(G: Graph, term: Terminals, k: int) -> Iterator[Separator]:
     """Yield the important s,t-separators of size at most k by (size,
     members).  Once the branching has finished a size, its candidates are
-    sorted and tested one by one, so each is yielded after its own test.
+    sorted and tested one by one, so each is yielded after its own test;
+    a candidate the branching certifies needs none.
     Bad input raises here, and the root flow runs here, not at the first
     pull."""
     levels = _levels(G, *_root(G, term, k))
-    return (X for level in levels for X in sorted(level) if is_important(G, term, X))
+    return (X for level in levels for X in sorted(level)
+            if level[X] or is_important(G, term, X))
 
 
 def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
@@ -127,6 +140,6 @@ def enumerate_important(G: Graph, term: Terminals, k: int) -> list[Separator]:
     The branching (one flow at the root and one per absorb child of a
     node whose candidate is smaller than k, each warm from its parent's
     paths) gives the candidates, and `is_important` keeps the important
-    ones.
+    ones among those the branching does not certify.
     """
     return list(_iter_important(G, term, k))

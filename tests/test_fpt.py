@@ -222,7 +222,6 @@ def test_no_backward_side_enters_the_s_side_of_an_emission(monkeypatch):
     # boundary of that set, not its interior: no backward side of the
     # networks that run a flow reaches a state of a vertex of C_s beyond
     # its seeds.  The stream builds no graph on the way.
-    g, term = band(3, 30)
     interior, networks = [set()], []
     max_flow, grow = mincut.FlowNetwork.max_flow, mincut.FlowNetwork._grow
 
@@ -245,11 +244,14 @@ def test_no_backward_side_enters_the_s_side_of_an_emission(monkeypatch):
     for module, name in ((sp.graph, "add_star"), (fpt, "add_star"),
                          (sp.graph, "saturate")):
         monkeypatch.setattr(module, name, refuse)
-    emitted = 0
-    for S in fpt.iter_small_minimal(g, term, 3):
-        interior[0] = sp.component_of(g, S, term.s)
-        emitted += 1
-    assert emitted == 260 and len(networks) > 700
+    emitted = []
+    for (g, term), k in ((band(3, 30), 3), (band(4, 12), 4)):
+        interior[0] = set()  # the seed root's backward side may go anywhere
+        emitted.append(0)
+        for S in fpt.iter_small_minimal(g, term, k):
+            interior[0] = sp.component_of(g, S, term.s)
+            emitted[-1] += 1
+    assert emitted == [260, 284] and len(networks) > 1200
     assert max(len(net.interior) for net in networks) > 80
 
 
@@ -299,9 +301,9 @@ def test_every_raw_candidate_is_the_boundary_of_its_t_side(monkeypatch):
     # each vertex of C is next to its node's source side, which is
     # connected, holds t and avoids T, and each removed vertex is next to
     # an ancestor's source side, which lies inside the node's sources.
-    cases = [band(2, 40), band(3, 30), band(4, 12), grid(6), grid(9)]
+    cases = [band(2, 40), band(3, 30), band(4, 12), band(4, 20), grid(6), grid(9)]
     cases += [_tree(n, 1900 + n) for n in (12, 40, 120)]
-    for seed in range(32):
+    for seed in range(48):
         g = random_connected_graph(12 + 6 * (seed % 8), (0.25, 0.15, 0.1)[seed % 3], 1800 + seed)
         cases += [(g, term) for term in nonadjacent_pairs(g)[seed::37][:3]]
     checked, absorbed = [0], [0]
@@ -344,3 +346,44 @@ def test_only_the_seed_root_decomposes_its_flow_into_paths(monkeypatch):
     monkeypatch.setattr(mincut.FlowNetwork, "disjoint_paths", counted)
     assert len(list(fpt.iter_small_minimal(g, term, 3))) == 260
     assert calls == [True]
+
+
+def test_list_minimal_branches_each_sink_set_once(monkeypatch):
+    # N(X) = (S + N(v)) - X fixes the sink set X = C_s + {v}: X is
+    # connected and holds s, so it is s's component of G - N(X).  A
+    # branching's candidates and their filter answers depend on X alone, so
+    # the stream runs none toward a sink set it has branched toward before.
+    cases = [(band(3, 30), 3), (band(4, 12), 4), (grid(9), 3), (grid(10), 4)]
+    cases += [(_tree(n, 2000 + n), k) for n in (40, 120) for k in (2, 4)]
+    for seed in range(40):
+        n = 20 + 10 * (seed % 11)
+        g = random_connected_graph(n, (3.0, 3.5, 4.0)[seed % 3] / n, 2100 + seed)
+        cases += [((g, term), 3 + seed % 3) for term in nonadjacent_pairs(g)[seed::97][:2]]
+    sink_sets, rims = [], []
+    with_sink, side_beyond = mincut.FlowNetwork._with_sink, fpt._side_beyond
+
+    def recorded_with_sink(self, v):
+        net = with_sink(self, v)
+        sink_sets.append(frozenset(net.sinks))
+        return net
+
+    def checked_side_beyond(adj, T, inside, rim, t):
+        assert sp.component_of(g, rim, term.s) == inside
+        assert _boundary(adj, inside) == rim
+        rims.append(rim)
+        return side_beyond(adj, T, inside, rim, t)
+
+    monkeypatch.setattr(mincut.FlowNetwork, "_with_sink", recorded_with_sink)
+    monkeypatch.setattr(fpt, "_side_beyond", checked_side_beyond)
+    copies = []
+    for (g, term), k in cases:
+        assert g.n <= 120
+        sink_sets.clear()
+        emitted = list(fpt.iter_small_minimal(g, term, k))
+        assert len(set(sink_sets)) == len(sink_sets)
+        for X in sink_sets:
+            assert sp.component_of(g, _boundary(g.adj, X), term.s) == X
+        copies.append(len(sink_sets))
+        if len(copies) == 1:
+            assert len(emitted) == 260 and copies == [565]  # 766 with repeats
+    assert sum(copies) > 2000 and len(rims) > 900

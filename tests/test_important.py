@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import sepenum as sp
-from sepenum import mincut
+from sepenum import important, mincut
 from sepenum.cli import main
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, _component, canonical, parse_graph
@@ -285,3 +285,34 @@ def test_the_important_stream_checks_its_input_when_called():
     stream = _iter_important(g, term, 4)
     assert flow_call_count() - before == 1  # the root flow, and nothing more
     assert next(stream) == sp.kappa(g, term).separator
+
+
+def test_important_tests_only_candidates_the_branching_cannot_certify(monkeypatch):
+    # A node with no removed vertex, sources A and cut C, the furthest
+    # minimum (A, s)-cut, yields C.  With R = comp_t(G - C), A lies in R,
+    # so C is also the furthest minimum (R, s)-cut: important, and the
+    # stream runs no flow to test it.
+    certified = uncertified = 0
+    for seed in range(200):
+        n = 8 + seed % 53
+        g = random_connected_graph(n, (2.5, 3.5, 5.0)[seed % 3] / n + 0.05, 2200 + seed)
+        for term in nonadjacent_pairs(g)[seed::41][:3]:
+            for k in range(2, 6):
+                for level in _levels(g, k, _min_cut(g, (term.t,), (term.s,))):
+                    for X, marked in level.items():
+                        assert not marked or sp.is_important(g, term, X)
+                        certified += marked
+                        uncertified += not marked
+    assert certified > 900 and uncertified > 100
+    g = parse_graph(_binary_tree(7))
+    term = Terminals(g.vertex("s"), g.vertex("n0"))
+    tested = []
+    is_important = important.is_important
+
+    def counted(*args):
+        tested.append(args[2])
+        return is_important(*args)
+
+    monkeypatch.setattr(important, "is_important", counted)
+    assert len(list(_iter_important(g, term, 5))) == 22
+    assert len(tested) == 18  # and 22 at k = 5 without the certificate
