@@ -373,15 +373,15 @@ def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
 def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
     if len(path) < 2 or path[0] != term.s or path[-1] != term.t:
         raise SepenumError("path must start at s and end at t")
-    if len(set(path)) != len(path):
+    at = {v: i for i, v in enumerate(path)}
+    if len(at) != len(path):
         raise SepenumError("path vertices must be distinct")
     for a, b in zip(path, path[1:]):
         if not G.has_edge(a, b):
             raise SepenumError(f"({G.labels[a]},{G.labels[b]}) is not an edge")
-    for i in range(len(path)):
-        for j in range(i + 2, len(path)):
-            if G.has_edge(path[i], path[j]):
-                raise SepenumError(f"chord ({G.labels[path[i]]},{G.labels[path[j]]})")
+    for i, v in enumerate(path):  # the first chord in (i, j) order
+        if ahead := [at[w] for w in G.adj[v] if at.get(w, 0) > i + 1]:
+            raise SepenumError(f"chord ({G.labels[v]},{G.labels[path[min(ahead)]]})")
 
 
 def chordless_path_through(G: Graph, term: Terminals, v: int) -> list[int] | None:

@@ -34,6 +34,8 @@ minimum (A, s)-cut of G; let R = comp_t(G - C).  A lies in R, so the
 (A, s)-cut, and C's source side holds its source side: C is the
 furthest minimum (R, s)-cut, which is what `is_important` tests.  The
 branching marks these candidates, and the filter runs only on the rest.
+It must: the branching is not exact, and an absorb child can yield a
+candidate that a separator of the same size with a smaller s-side beats.
 """
 
 from collections.abc import Iterator

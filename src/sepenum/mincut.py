@@ -42,7 +42,8 @@ is a κ-vector of positions, and the closure moves those positions with
 reach vectors (after Jagadish 1990): for every state and path, the
 deepest position of that path the state reaches.  They cost κ + 1 sweeps
 over the reversed flow, once, on the first call; each call then costs
-O(κ) per position that moves, plus reading its arguments.
+O(κ) per position that moves, plus reading its arguments, or the closest
+cut when it is given no start.
 
 A module-level counter tracks max-flow invocations so that delay
 bounds can be checked externally.
@@ -364,11 +365,10 @@ class FlowNetwork:
         if self._reach is None:
             self._reach_vectors()
         excluded = frozenset(excluded)  # no copy when it is one
-        if not excluded <= self._ids:
-            _require_ids(self.G, excluded)
+        _require_ids(self.G, excluded)
         paths, spot, reach = self._paths, self._spot, self._reach
         at = [0] * len(paths)
-        for v in self._closest if beyond is None else beyond:
+        for v in self.closest_cut() if beyond is None else beyond:
             j, k = spot[v]
             at[j] = k
         pinned = set(map(spot.get, include))
@@ -422,9 +422,6 @@ class FlowNetwork:
             self._grow(side, none)
             for x in side.queue:
                 reach[0][x ^ 1] = len(paths[0]) - 1
-        ins = [2 * w for s in self.sources for w in self.adj[s]]
-        self._closest = [path[max(map(R.__getitem__, ins))] for path, R in zip(paths, reach)]
-        self._ids = frozenset(range(len(self.adj)))
 
     def furthest_cut(self) -> Separator:
         """Minimum cut with inclusion-maximal source side.

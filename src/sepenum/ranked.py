@@ -15,7 +15,12 @@ with no further flow or search.  It starts from the parent's separator,
 whose closed set the child's contains, and moves only the positions on
 the root's κ flow paths that the child's constraints push, at O(κ)
 each.  Only a child of a size-κ cell can have size κ, so each such child
-asks that closure first.  minimum-all
+asks that closure first, about v_i alone of its excluded set.  Every
+vertex u excluded earlier was a member of an ancestor's separator, so it
+lies on a root flow path, and the closure of the child that excluded it
+stepped past it on that path.  Positions only rise from a cell to its
+child, so the closure starts beyond every such u and never asks whether
+it is excluded; the flow children still get the whole set.  minimum-all
 drops every other child; the ranked stream answers it (I included, U
 excluded) on G with I removed and U uncut (see `FlowNetwork`): its
 minimum is I plus the closest minimum cut, as in saturate(G, U) - I,
@@ -97,7 +102,7 @@ def _lawler(G: Graph, term: Terminals, root: FlowNetwork, flow) -> Iterator[Sepa
         yield S
         for v, include_i in _split(S, include):
             excluded_v = excluded | {v}
-            T = root.closest_cut_with(include_i, excluded_v, S) if kept is paths else None
+            T = root.closest_cut_with(include_i, (v,), S) if kept is paths else None
             if T is not None:
                 push(T, include_i, excluded_v, paths)
             elif (child := flow(kept, include_i, excluded_v)) is not None:

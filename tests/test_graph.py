@@ -621,6 +621,24 @@ def test_chordless_path_validation():
         )
 
 
+def test_the_chord_check_reads_each_path_vertex_once():
+    # Each path vertex's neighbours are looked up in a map of positions, and
+    # the first chord in (i, j) order is reported.  On an n-vertex path the
+    # witness reads about 4n neighbourhoods, two per vertex for the checks
+    # and two for the walk to the separator; testing every pair read n²/2.
+    n = 4000
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    g.adj = _CountingAdj(g.adj)
+    g.adj.reads = 0
+    assert sp.chordless_path_to_separator(g, Terminals(0, n - 1), list(range(n)), 7) == (7,)
+    assert g.adj.reads <= 5 * n
+    path = list(range(6))
+    for chords, first in (([(1, 5), (1, 3), (0, 4)], "0,4"), ([(1, 5), (2, 4), (1, 3)], "1,3")):
+        with pytest.raises(SepenumError, match=rf"chord \({first}\)"):
+            sp.chordless_path_to_separator(Graph(6, list(zip(path, path[1:])) + chords),
+                                           Terminals(0, 5), path, 2)
+
+
 def test_chordless_equivalence_small_random():
     # both directions: a chordless s,t-path through v exists exactly when
     # some minimal separator contains v, and the construction witnesses it

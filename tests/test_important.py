@@ -316,3 +316,19 @@ def test_important_tests_only_candidates_the_branching_cannot_certify(monkeypatc
     monkeypatch.setattr(important, "is_important", counted)
     assert len(list(_iter_important(g, term, 5))) == 22
     assert len(tested) == 18  # and 22 at k = 5 without the certificate
+
+
+def test_the_branching_is_not_exact_so_the_filter_stays():
+    # The root's cut from t is (0, 5).  Its second absorb child removes 0,
+    # moves 5 to t's side and cuts (1, 4), so it yields (0, 1, 4) unmarked.
+    # That is no important separator: N(s) = (1, 4, 6) has the same size
+    # and the smaller s-side {s}.  Only the filter drops it.
+    g = Graph(7, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5),
+                  (4, 5), (4, 6)])
+    term = Terminals(2, 3)
+    levels = list(_levels(g, 3, _min_cut(g, (term.t,), (term.s,))))
+    assert levels == [{}, {}, {(0, 5): True}, {(1, 4, 6): True, (0, 1, 4): False}]
+    assert sp.component_of(g, (1, 4, 6), term.s) < sp.component_of(g, (0, 1, 4), term.s)
+    assert not sp.is_important(g, term, (0, 1, 4))
+    assert brute_important(g, term, 3) == {(0, 5), (1, 4, 6)}
+    assert list(_iter_important(g, term, 3)) == [(0, 5), (1, 4, 6)]

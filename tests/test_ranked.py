@@ -144,6 +144,41 @@ def test_minimum_stream_runs_no_residual_search_per_emission(monkeypatch):
             assert callers == ["closest_cut"] + ["_reach_vectors"] * (3 + 1)
 
 
+def test_a_minimum_cells_child_asks_the_closure_about_its_new_exclusion_alone(monkeypatch):
+    # A child of a size-κ cell asks the root's closure about the one vertex
+    # v it newly excludes.  Every vertex its cell excluded before lies on a
+    # root flow path behind the positions the closure starts from, so the
+    # answer is the one for the whole set, the cell's plus v.
+    closure, pop = FlowNetwork.closest_cut_with, heappop
+    popped, answers = [], []
+
+    def recording_pop(queue):
+        item = pop(queue)
+        popped.append(item[2])  # the cell's excluded set
+        return item
+
+    def checked_closure(self, include=(), excluded=(), beyond=None):
+        T = closure(self, include, excluded, beyond)
+        assert len(excluded) == 1
+        assert T == closure(self, include, popped[-1] | set(excluded), beyond)
+        answers.append(T is not None)
+        return T
+
+    monkeypatch.setattr(FlowNetwork, "closest_cut_with", checked_closure)
+    monkeypatch.setattr(sepenum.ranked, "heappop", recording_pop)
+    cases = [band(3, 30), band(4, 12), band(2, 40), grid(7), grid(10)]
+    for n, p, seed in ((60, 0.06, 4800), (120, 0.03, 4801), (200, 0.02, 4802)):
+        g = random_connected_graph(n, p, seed)
+        cases += [(g, term) for term in nonadjacent_pairs(g)[:2]]
+    deep = 0
+    for g, term in cases:
+        for stream in (sp.iter_minimum_separators, sp.iter_ranked_separators):
+            popped.clear()
+            list(islice(stream(g, term), 300))
+            deep += sum(len(excluded) > 1 for excluded in popped)
+    assert answers.count(True) > 1000 and answers.count(False) > 1000 and deep > 5000
+
+
 def test_ranked_cells_and_min_separator_excluding_build_no_graph(monkeypatch):
     # Every cell is answered on G with its excluded set uncut: no module
     # saturates, joins a star or makes a graph with new neighbourhoods.
