@@ -40,7 +40,7 @@ lattice and the least one is the closest feasible cut.  A closed set
 holds a prefix of each of the κ flow paths, ending at an in-state, so it
 is a κ-vector of positions, and the closure moves those positions with
 reach vectors (after Jagadish 1990): for every state and path, the
-deepest position of that path the state reaches.  They cost κ + 1 sweeps
+deepest position of that path the state reaches.  They cost κ sweeps
 over the reversed flow, once, on the first call; each call then costs
 O(κ) per position that moves, plus reading its arguments, or the closest
 cut when it is given no start.
@@ -100,20 +100,6 @@ class _Side:
         self.queue, self.head = list(seeds), 0
         self.rest = iter(self.queue)
 
-    def reseed(self, feed) -> bool:
-        """Seed the next state of the iterator `feed` that the side has not
-        reached, keeping the states it has; False once `feed` runs out."""
-        seen, queue = self.seen, self.queue
-        for x in feed:
-            if seen[x] == -2:
-                seen[x] = -1
-                # a spent list iterator sees no later appends: start anew at x
-                self.rest = iter(queue)
-                self.rest.__setstate__(len(queue))
-                queue.append(x)
-                return True
-        return False
-
 
 class FlowNetwork:
     """Flow state for one (source-set, sink-set) cut computation.
@@ -129,11 +115,12 @@ class FlowNetwork:
     unchanged.  The one warm-start rule drops each path through a removed
     vertex, starts each other one at its last leading source, ends it at
     its first sink and splices out the excluded vertices; the rest must be
-    a flow of G with `excluded` saturated.  max_flow then only augments,
-    to a cold start's value and cuts, since every maximum flow leaves the
-    same vertices residual-reachable.  An unrun network may be copied with
-    one more sink (`_with_sink`), so that the sinks it shares with its
-    copies are set up once.
+    a flow of G with `excluded` saturated.  A kept path that does not run
+    from a source to a sink over vertex ids raises SepenumError.  max_flow
+    then only augments, to a cold start's value and cuts, since every
+    maximum flow leaves the same vertices residual-reachable.  An unrun
+    network may be copied with one more sink (`_with_sink`), so that the
+    sinks it shares with its copies are set up once.
     """
 
     def __init__(self, G: Graph, sources, sinks, removed=(), flow=(), excluded=()):
@@ -166,12 +153,16 @@ class FlowNetwork:
         for path in flow:  # the warm-start rule, then link the inner vertices
             if not removed.isdisjoint(path):
                 continue
+            if len(path) < 2 or min(path) < 0 or max(path) >= G.n:
+                raise SepenumError(f"warm-start path {path!r} is not a path of vertex ids")
+            end = next(compress(count(1), map(is_sink, path)), None)
+            if path[0] not in source_set or end is None:
+                raise SepenumError(f"warm-start path {path!r} does not run from a source to a sink")
             i = 1  # path[i - 1] is the last leading source
             while path[i] in source_set:
                 i += 1
-            path = path[i - 1:next(compress(count(1), map(is_sink, path)))]
+            path = path[i - 1:end]
             path = [v for v in path if v not in excluded] if excluded else path
-            assert path[0] in source_set
             for u, w, x in zip(path, path[1:-1], path[2:]):
                 assert w not in source_set and pred[w] < 0
                 assert w in G.adj[u] or self._is_spliced(u, w)
@@ -217,7 +208,7 @@ class FlowNetwork:
             seen[2 * v] = -3
         return _Side(seen, link, [2 * v + 1 for v in ends if not adj[v] <= blocked])
 
-    def _grow(self, side: _Side, theirs: list[int], limit=None, feed=()) -> int:
+    def _grow(self, side: _Side, theirs: list[int], limit=None) -> int:
         """The residual BFS: expand `side` over the arcs its `link` gives,
         in rounds, until its frontier holds more than `limit` states or it
         dies (only the latter when `limit` is None).  Return the first
@@ -227,16 +218,13 @@ class FlowNetwork:
         A round expands as many states as the side holds, so it finishes
         the current BFS level, and a side that crosses a long, narrow graph
         does so in a logarithmic number of rounds.  A step into a free in(w)
-        goes on to out(w) and queues out(w) alone.  Each time the side
-        dies it is seeded again from the iterator `feed`, if one is given
-        (see `_Side.reseed`), so the states it reaches from each seed and
-        from no earlier one follow that seed in the queue.
+        goes on to out(w) and queues out(w) alone.
         """
         adj, link, seen, queue = self.adj, side.link, side.seen, side.queue
         head = side.head
         if limit is None:
             limit = len(seen)
-        while head < len(queue) or feed and side.reseed(feed):
+        while head < len(queue):
             end = head + len(queue)
             for x in islice(side.rest, len(queue)):
                 v = x >> 1
@@ -397,31 +385,29 @@ class FlowNetwork:
         deepest position on path j that state x reaches without passing
         the sources' out-states, which every closed set holds, or the sink
         on path 0 when x reaches an in(sink).  Each is one sweep over the
-        reversed flow: it reaches x^1 exactly when x reaches a seed, and it
-        seeds the in-states of path j deepest first, or the sinks."""
+        reversed flow, which reaches x^1 exactly when x reaches a seed.  It
+        seeds the positions deepest first, on path 0 the sink's from every
+        sink, each on a side of its own that shares the sweep's `seen`, so
+        a state keeps the first position that reaches it."""
         paths = self._paths = self.disjoint_paths()
-        spot = self._spot = {v: (j, k) for j, path in enumerate(paths)
-                             for k, v in enumerate(path[1:-1], 1)}
-        side = self._side(self.sinks, self.succ)
-        seen = side.seen
-        for s in self.sources:  # out(s): in every closed set, and succ[s] names one path
-            seen[2 * s] = -3
-        none = [-2] * len(seen)
+        self._spot = {v: (j, k) for j, path in enumerate(paths)
+                      for k, v in enumerate(path[1:-1], 1)}
+        none = [-2] * (2 * len(self.adj))
         reach = self._reach = []
-        for path in paths:
+        for j, path in enumerate(paths):
+            seen = self._side(self.sinks, self.succ).seen
+            for s in self.sources:  # out(s): in every closed set, and succ[s] names one path
+                seen[2 * s] = -3
             R = [0] * len(seen)
-            side.start(())
-            self._grow(side, none, feed=(2 * v + 1 for v in reversed(path[1:-1])))
-            for x in side.queue:
-                if seen[x] == -1:
-                    k = spot[x >> 1][1]
-                R[x ^ 1] = k
+            starts = [(len(path) - 1, self._bwd.seeds)] if j == 0 else []
+            starts += [(k, [2 * path[k] + 1]) for k in range(len(path) - 2, 0, -1)]
+            for k, seeds in starts:
+                side = _Side(seen, self.succ, ())
+                side.start([x for x in seeds if seen[x] == -2])
+                self._grow(side, none)
+                for x in side.queue:
+                    R[x ^ 1] = k
             reach.append(R)
-        if paths:
-            side.start(self._bwd.seeds)
-            self._grow(side, none)
-            for x in side.queue:
-                reach[0][x ^ 1] = len(paths[0]) - 1
 
     def furthest_cut(self) -> Separator:
         """Minimum cut with inclusion-maximal source side.

@@ -122,3 +122,66 @@ def test_closest_cut_with_matches_a_residual_bfs_from_the_definition():
                 assert net.closest_cut_with(include, excluded, start) == want
                 restarted += 1
     assert answers > 1200 and 200 < feasible < answers - 200 and restarted > 400
+
+
+def residual_arcs(net: FlowNetwork):
+    """The residual graph of `net` after max_flow, by the arc rules of
+    `residual_closure` with nothing uncut, as a map from each named state
+    to the states it steps to.  Removed vertices have no states, no arc
+    enters a source's out-state, which every closed set holds, and none
+    leaves an in(sink), which no feasible one holds."""
+    adj, pred, sinks, removed = net.adj, net.pred, net.sinks, net._removed
+    sources = set(net.sources)
+    used = {v for v in range(len(adj))
+            if pred[v] >= 0 and v not in sources and v not in sinks}
+    arcs = {}
+    for v in range(len(adj)):
+        if v in removed:
+            continue
+        arcs["out", v] = [("in", w) for w in adj[v] if w not in sources and w not in removed]
+        if v in used:
+            arcs["out", v].append(("in", v))
+        step = pred[v] if v in used else v  # back along the flow, or on to out(v)
+        arcs["in", v] = [] if v in sinks or step in sources else [("out", step)]
+    return arcs, used
+
+
+def test_reach_vectors_match_a_named_state_bfs():
+    # reach[j][x] is the deepest position k of flow path j such that x
+    # reaches in(path_j[k]), 0 when there is none, and on path 0 the sink's
+    # position when x reaches an in(sink); the closure then fails on path
+    # 0 and reads no other path's entry.  Checked for both states of every
+    # vertex but the ends and the removed ones, except a free vertex's
+    # out-state: the sweeps hop through a free vertex and record only its
+    # in-state, which has the same reach, and the closure reads only the
+    # states of path vertices.
+    checked = sinks_reached = 0
+    for net, _ in _networks(2601, 100):
+        net.closest_cut_with()  # sets up the reach vectors
+        paths = net.disjoint_paths()
+        assert paths == net._paths
+        arcs, used = residual_arcs(net)
+        ends = set(net.sources) | net.sinks
+        positions = {("in", v): (j, k) for j, path in enumerate(paths)
+                     for k, v in enumerate(path[1:-1], 1)}
+        positions.update((("in", t), (0, len(paths[0]) - 1)) for t in net.sinks)
+        for x in range(2 * len(net.adj)):  # in(v) = 2v and out(v) = 2v + 1
+            kind, v = ("in", "out")[x & 1], x >> 1
+            if v in ends or v in net._removed or kind == "out" and v not in used:
+                continue
+            reached, queue = {(kind, v)}, deque([(kind, v)])
+            while queue:
+                for y in arcs[queue.popleft()]:
+                    if y not in reached:
+                        reached.add(y)
+                        queue.append(y)
+            want = [0] * len(paths)
+            for j, k in filter(None, map(positions.get, reached)):
+                want[j] = max(want[j], k)
+            if want[0] == len(paths[0]) - 1:
+                assert net._reach[0][x] == want[0]
+                sinks_reached += 1
+            else:
+                assert [R[x] for R in net._reach] == want
+            checked += 1
+    assert checked > 12000 and 3000 < sinks_reached < checked - 3000

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,23 @@ def test_flow_network_range_checks_its_vertex_arguments():
     for removed in ((-1,), (9,)):
         with pytest.raises(SepenumError, match="out of range"):
             FlowNetwork(P4.graph, (0,), (3,), removed=removed)
+
+
+@pytest.mark.parametrize("n, flow, message", [
+    (4, [[0, 1]], "does not run from a source to a sink"),  # reaches no sink
+    (4, [[0]], "is not a path of vertex ids"),  # one vertex
+    (4, [[1, 2, 3]], "does not run from a source to a sink"),  # starts past the source
+    (5, [[0, -1, 3]], "is not a path of vertex ids"),  # an id below 0
+    (5, [[0, 5, 3]], "is not a path of vertex ids"),  # an id above n - 1
+])
+def test_a_malformed_warm_start_raises(n, flow, message):
+    # Each is checked with or without asserts: a warm path that is too
+    # short, leaves the ids, starts at no source or reaches no sink.
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    with pytest.raises(SepenumError, match=f"^warm-start path .* {message}$"):
+        FlowNetwork(g, (0,), (3,), flow=flow)
+    net = FlowNetwork(g, (0,), (3,), flow=[[0, 1, 2, 3]])
+    assert net.max_flow() == 1 and net.closest_cut() == (1,)
 
 
 def test_closest_cut_with_reads_a_repeated_include_vertex_once():
@@ -564,29 +582,33 @@ def test_no_free_vertex_in_state_is_queued(monkeypatch):
     # A free vertex's in-state has one residual arc, to its out-state, and
     # `_grow` takes it in the step that reaches the in-state; only a seed
     # is queued while its vertex is free.  That holds for the two cut
-    # reads and for the κ + 1 sweeps that set up the first closure, which
-    # are all the closures' searches: each closure starts from the closest
-    # cut, whose finished forward side queues nothing more.
-    grow, grown = FlowNetwork._grow, []
+    # reads and for the κ sweeps that set up the first closure, one `seen`
+    # list per flow path, which are all the closures' searches: each
+    # closure starts from the closest cut, whose finished forward side
+    # queues nothing more.
+    grow, calls = FlowNetwork._grow, []
 
-    def checked_grow(self, side, theirs, limit=None, feed=()):
+    def checked_grow(self, side, theirs, limit=None):
         queued = len(side.queue)
-        met = grow(self, side, theirs, limit, feed)
+        met = grow(self, side, theirs, limit)
         assert all(x & 1 or side.link[x >> 1] >= 0 or side.seen[x] == -1
                    for x in side.queue)
-        grown.append(len(side.queue) - queued)
+        calls.append((sys._getframe(1).f_code.co_name, side.seen, len(side.queue) - queued))
         return met
 
     monkeypatch.setattr(FlowNetwork, "_grow", checked_grow)
     answers = []
     for net, include, excluded in _networks_with_excluded_and_include_sets(2310):
-        grown.clear()
+        calls.clear()
         net.closest_cut()
         net.furthest_cut()
         answers.append(net.closest_cut_with(include, excluded))
         net.closest_cut_with(excluded=include)
-        sweeps = 2 + net.value + 1  # both cut reads, then the closure's set-up
-        assert net.value and grown[sweeps:] == [0, 0]
+        callers = [caller for caller, _, _ in calls]
+        setup = callers.count("_reach_vectors")
+        assert callers == ["closest_cut", "furthest_cut"] + ["_reach_vectors"] * setup + ["closest_cut"] * 2
+        assert len({id(seen) for caller, seen, _ in calls if caller == "_reach_vectors"}) == net.value
+        assert net.value and [queued for _, _, queued in calls[-2:]] == [0, 0]
     nones = answers.count(None)
     assert len(answers) > 100 and 10 < nones < len(answers) - 10
 

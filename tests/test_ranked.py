@@ -124,24 +124,32 @@ def test_minimum_stream_runs_one_flow_and_no_rewrites(monkeypatch):
 
 def test_minimum_stream_runs_no_residual_search_per_emission(monkeypatch):
     # After its one flow, minimum-all reads the closest cut once and sets
-    # up the closure once, in κ + 1 sweeps.  Every emission after that is
-    # answered from the reach vectors with no residual search, so the
-    # searches are the same on a band four times as long and do not grow
-    # with the emissions.
-    grow, callers = FlowNetwork._grow, []
+    # up the closure once, in κ sweeps, each with a `seen` list of its own.
+    # Every emission after that is answered from the reach vectors with no
+    # residual search, so the sweeps are the same on a band four times as
+    # long and do not grow with the emissions.
+    grow, calls = FlowNetwork._grow, []
 
-    def counted_grow(self, *args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return grow(self, *args, **kwargs)
+    def counted_grow(self, side, theirs, limit=None):
+        queued = len(side.queue)
+        met = grow(self, side, theirs, limit)
+        calls.append((sys._getframe(1).f_code.co_name, side.seen, len(side.queue) - queued))
+        return met
 
     monkeypatch.setattr(FlowNetwork, "_grow", counted_grow)
     for length in (100, 400):
         g, term = band(3, length)
         stream = sp.iter_minimum_separators(g, term)  # runs the root flow
-        callers.clear()
-        for _ in range(2):  # the first 300 emissions, then 300 more
-            assert len(list(islice(stream, 300))) == 300
-            assert callers == ["closest_cut"] + ["_reach_vectors"] * (3 + 1)
+        calls.clear()
+        assert len(list(islice(stream, 300))) == 300  # the first 300 emissions
+        callers = [caller for caller, _, _ in calls]
+        setup = [seen for caller, seen, _ in calls if caller == "_reach_vectors"]
+        assert callers[:len(setup) + 1] == ["closest_cut"] + ["_reach_vectors"] * len(setup)
+        assert len({id(seen) for seen in setup}) == 3
+        assert all(queued == 0 for _, _, queued in calls[len(setup) + 1:])
+        calls.clear()
+        assert len(list(islice(stream, 300))) == 300  # then 300 more
+        assert calls == []
 
 
 def test_a_minimum_cells_child_asks_the_closure_about_its_new_exclusion_alone(monkeypatch):
