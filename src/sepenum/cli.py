@@ -156,10 +156,8 @@ def _run(args) -> int:
         separator = is_separator(G, term, members)
         minimal = separator and is_minimal_separator(G, term, members)
         important = minimal and is_important(G, term, members)
-        try:
-            minimum = separator and len(members) == kappa(G, term).kappa
-        except AlreadySeparated:
-            minimum = False  # only the empty set is minimum here
+        # a size-κ separator is minimal; none is when the terminals are apart
+        minimum = minimal and len(members) == kappa(G, term).kappa
         report = {"separator": separator, "minimal": minimal,
                   "important": important, "minimum": minimum}
         _print(args.json, report, "\n".join(

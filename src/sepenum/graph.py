@@ -73,10 +73,6 @@ class Graph:
         g.n, g.labels, g.adj, g._label_ids = len(labels), labels, tuple(adj), label_ids
         return g
 
-    def _with_adj(self, adj) -> "Graph":
-        """This graph's labels over adj, a list of frozen neighbourhoods."""
-        return Graph._of(self.labels, adj, self._label_ids)
-
     def vertex(self, label: str) -> int:
         if self._label_ids is None:
             self._label_ids = {lab: i for i, lab in enumerate(self.labels)}
@@ -291,7 +287,7 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
             grow = closed - {x} - adj[x]
             if grow:
                 adj[x] = adj[x] | grow
-    return G._with_adj(adj)
+    return Graph._of(G.labels, adj, G._label_ids)
 
 
 def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:
@@ -310,7 +306,7 @@ def add_star(G: Graph, s: int, S: Iterable[int]) -> Graph:
         adj[s] = adj[s] | new
         for v in new:
             adj[v] = adj[v] | {s}
-    return G._with_adj(adj)
+    return Graph._of(G.labels, adj, G._label_ids)
 
 
 def absorb(G: Graph, s: int, v: int) -> Graph:
@@ -346,13 +342,11 @@ def _require_separable(G: Graph, term: Terminals) -> None:
 
 
 def close_separator(G: Graph, term: Terminals) -> Separator:
-    """The unique minimal s,t-separator contained in N(s).
-
-    Computed as the neighborhood of t's component after removing N(s).
-    """
+    """The unique minimal s,t-separator contained in N(s): `minimalize` of
+    N(s), whose first step gives N(s) back, since s's component of G - N(s)
+    is {s}."""
     _require_separable(G, term)
-    adj = G.adj
-    return canonical(_boundary(adj, _component(adj, (term.t,), adj[term.s])))
+    return minimalize(G, term, G.adj[term.s])
 
 
 def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
@@ -392,12 +386,16 @@ def chordless_path_through(G: Graph, term: Terminals, v: int) -> list[int] | Non
     path that is next to no path vertex before the last; so every path it
     builds is chordless.  It stops at the first path that reaches t with v
     on it.  Such a path exists iff some minimal s,t-separator contains v.
+    A chordless path through v joins two non-adjacent neighbours of v, so
+    when N(v) is a clique, as for a pendant v, it returns None at once.
     """
     _require_ids(G, (*term, v))
     if v in term:
         raise SepenumError(f"vertex {G.labels[v]!r} is a terminal")
     s, t = term
     adj = G.adj
+    if all(adj[v] - {w} <= adj[w] for w in adj[v]):
+        return None
     path, on_path = [s], {s}
     near = [0] * G.n  # near[x]: the path vertices before the last next to x
     frames = [iter(sorted(adj[s]))]  # per path vertex, its untried neighbours

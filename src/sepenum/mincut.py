@@ -18,8 +18,8 @@ An augmenting search, `_search`, grows the side with the smaller frontier
 until it is the larger one, and splices the two sides at the first state
 both reach (Pohl 1971): on a sparse random graph with far-apart ends
 they meet early, and on a band they reach what one side would.  `_cut`
-reads a cut off a finished side: the vertices v with in(v) reached and
-out(v) not, in the side's own coordinates.
+finishes a side and reads its cut: the vertices v with in(v) reached
+and out(v) not, in the side's own coordinates.
 
 After a maximum flow, the minimum cuts are exactly the state sets C that
 contain the sources' out-states, avoid every in(sink) and are closed under
@@ -279,9 +279,12 @@ class FlowNetwork:
             if met >= 0:
                 return met if side is fwd else met ^ 1
 
-    def _cut(self, side: _Side) -> Separator:
-        """The vertices whose in-state the finished side reached and whose
-        out-state it did not, in the side's coordinates: never a free one."""
+    def _cut(self, side: _Side, other: _Side) -> Separator:
+        """Finish `side`, one of max_flow's final, failed search, and read
+        its cut: the vertices whose in-state it reached and whose out-state
+        it did not, in its own coordinates; never a free one."""
+        assert self._ran
+        self._grow(side, other.seen)
         seen = side.seen
         cut = sorted(x >> 1 for x in side.queue if not x & 1 and seen[x + 1] == -2)
         assert len(cut) == self.value
@@ -331,9 +334,7 @@ class FlowNetwork:
     def closest_cut(self) -> Separator:
         """Minimum cut with inclusion-minimal source side: the forward side
         of max_flow's final, failed search, finished."""
-        assert self._ran
-        self._grow(self._fwd, self._bwd.seen)
-        return self._cut(self._fwd)
+        return self._cut(self._fwd, self._bwd)
 
     def closest_cut_with(self, include=(), excluded=(), beyond=None) -> Separator | None:
         """Closest minimum cut that contains `include` and avoids
@@ -383,12 +384,13 @@ class FlowNetwork:
         """Set up `closest_cut_with`, once, in O(κ·(n+m)) time.  Position k
         on flow path j is in(path[k]), the sink last.  reach[j][x] is the
         deepest position on path j that state x reaches without passing
-        the sources' out-states, which every closed set holds, or the sink
-        on path 0 when x reaches an in(sink).  Each is one sweep over the
-        reversed flow, which reaches x^1 exactly when x reaches a seed.  It
-        seeds the positions deepest first, on path 0 the sink's from every
-        sink, each on a side of its own that shares the sweep's `seen`, so
-        a state keeps the first position that reaches it."""
+        the sources' out-states, which every closed set holds: the sink's
+        when x reaches an in(sink).  Each is one sweep over the reversed
+        flow, which reaches x^1 exactly when x reaches a seed.  It seeds
+        the positions deepest first, the sink's from every sink, each on a
+        side of its own that shares the sweep's `seen`, so a state keeps
+        the first position that reaches it.  A free vertex's out-state,
+        which a hop reaches unqueued, gets its in-state's position."""
         paths = self._paths = self.disjoint_paths()
         self._spot = {v: (j, k) for j, path in enumerate(paths)
                       for k, v in enumerate(path[1:-1], 1)}
@@ -399,7 +401,7 @@ class FlowNetwork:
             for s in self.sources:  # out(s): in every closed set, and succ[s] names one path
                 seen[2 * s] = -3
             R = [0] * len(seen)
-            starts = [(len(path) - 1, self._bwd.seeds)] if j == 0 else []
+            starts = [(len(path) - 1, self._bwd.seeds)]
             starts += [(k, [2 * path[k] + 1]) for k in range(len(path) - 2, 0, -1)]
             for k, seeds in starts:
                 side = _Side(seen, self.succ, ())
@@ -407,6 +409,8 @@ class FlowNetwork:
                 self._grow(side, none)
                 for x in side.queue:
                     R[x ^ 1] = k
+                    if x & 1 and seen[x] == x - 1:  # x ^ 1 = in(v), v free: out(v) = x, unqueued
+                        R[x] = k
             reach.append(R)
 
     def furthest_cut(self) -> Separator:
@@ -417,9 +421,7 @@ class FlowNetwork:
         swapped coordinates exactly when out(v) reaches an in(sink) in the
         flow.
         """
-        assert self._ran
-        self._grow(self._bwd, self._fwd.seen)
-        return self._cut(self._bwd)
+        return self._cut(self._bwd, self._fwd)
 
     def disjoint_paths(self) -> list[list[int]]:
         """The flow as internally vertex-disjoint source-to-sink paths,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -112,6 +113,16 @@ def pop_key(G: Graph, s: int, S) -> tuple[int, Separator]:
     """
     members = canonical(S)
     return (len(component_of(G, members, s)), members)
+
+
+def grow_caller(net, side) -> str:
+    """Called from a spy on `FlowNetwork._grow`: the name of the function
+    that called `_grow`, or for a cut read (`_cut`) the side it finishes,
+    "forward" or "backward"."""
+    caller = sys._getframe(2).f_code.co_name
+    if caller != "_cut":
+        return caller
+    return {id(net._fwd): "forward", id(net._bwd): "backward"}[id(side)]
 
 
 def nonadjacent_pairs(G: Graph):

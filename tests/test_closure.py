@@ -148,26 +148,25 @@ def residual_arcs(net: FlowNetwork):
 
 def test_reach_vectors_match_a_named_state_bfs():
     # reach[j][x] is the deepest position k of flow path j such that x
-    # reaches in(path_j[k]), 0 when there is none, and on path 0 the sink's
-    # position when x reaches an in(sink); the closure then fails on path
-    # 0 and reads no other path's entry.  Checked for both states of every
-    # vertex but the ends and the removed ones, except a free vertex's
-    # out-state: the sweeps hop through a free vertex and record only its
-    # in-state, which has the same reach, and the closure reads only the
-    # states of path vertices.
-    checked = sinks_reached = 0
+    # reaches in(path_j[k]), 0 when there is none, and so the sink's
+    # position on every path when x reaches an in(sink).  Checked for both
+    # states of every vertex but the ends and the removed ones, on every
+    # path: a free vertex's out-state too, which the sweeps reach only
+    # through a hop that queues its in-state.
+    checked = sinks_reached = free = 0
     for net, _ in _networks(2601, 100):
         net.closest_cut_with()  # sets up the reach vectors
         paths = net.disjoint_paths()
         assert paths == net._paths
         arcs, used = residual_arcs(net)
         ends = set(net.sources) | net.sinks
-        positions = {("in", v): (j, k) for j, path in enumerate(paths)
+        positions = {("in", v): [(j, k)] for j, path in enumerate(paths)
                      for k, v in enumerate(path[1:-1], 1)}
-        positions.update((("in", t), (0, len(paths[0]) - 1)) for t in net.sinks)
+        positions.update((("in", t), [(j, len(path) - 1) for j, path in enumerate(paths)])
+                         for t in net.sinks)
         for x in range(2 * len(net.adj)):  # in(v) = 2v and out(v) = 2v + 1
             kind, v = ("in", "out")[x & 1], x >> 1
-            if v in ends or v in net._removed or kind == "out" and v not in used:
+            if v in ends or v in net._removed:
                 continue
             reached, queue = {(kind, v)}, deque([(kind, v)])
             while queue:
@@ -176,12 +175,11 @@ def test_reach_vectors_match_a_named_state_bfs():
                         reached.add(y)
                         queue.append(y)
             want = [0] * len(paths)
-            for j, k in filter(None, map(positions.get, reached)):
-                want[j] = max(want[j], k)
-            if want[0] == len(paths[0]) - 1:
-                assert net._reach[0][x] == want[0]
-                sinks_reached += 1
-            else:
-                assert [R[x] for R in net._reach] == want
+            for state in reached:
+                for j, k in positions.get(state, ()):
+                    want[j] = max(want[j], k)
+            assert [R[x] for R in net._reach] == want
+            sinks_reached += want[0] == len(paths[0]) - 1
+            free += kind == "out" and v not in used
             checked += 1
-    assert checked > 12000 and 3000 < sinks_reached < checked - 3000
+    assert checked > 25000 and 9000 < sinks_reached < checked - 9000 and free > 9000

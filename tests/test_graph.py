@@ -14,6 +14,7 @@ from conftest import (
     P4,
     THETA,
     band,
+    grid,
     nonadjacent_pairs,
     random_connected_graph,
     random_graph,
@@ -595,6 +596,28 @@ def test_chordless_path_to_separator_examples():
     th = THETA.graph
     path = [0, th.vertex("b"), th.vertex("c"), 2]
     assert sp.chordless_path_to_separator(th, THETA.terminals, path, th.vertex("c")) == ids(th, "a c")
+
+
+def test_a_vertex_with_a_clique_neighbourhood_has_no_witness_and_no_search():
+    # A chordless path through v joins two non-adjacent neighbours of v.
+    # On the 8x8 grid a pendant vertex at the middle, or one next to both
+    # ends of a grid edge, has none; a depth-first search for one there
+    # runs for seconds, so the neighbourhoods fail after a few reads.
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, v):
+            reads.append(v)
+            assert len(reads) <= 20, "the path search ran"
+            return tuple.__getitem__(self, v)
+
+    g, term = grid(8)
+    for ends in ((27,), (27, 28)):
+        reads.clear()
+        h = Graph(65, [*g.edges(), *((u, 64) for u in ends)])
+        assert sp.chordless_path_through(h, term, 27) is not None
+        h.adj = Counted(h.adj)
+        assert sp.chordless_path_through(h, term, 64) is None
 
 
 def test_chordless_path_validation():

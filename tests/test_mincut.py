@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from conftest import (
     P4,
     THETA,
     band,
+    grow_caller,
     nonadjacent_pairs,
     random_connected_graph,
     random_graph,
@@ -585,7 +585,8 @@ def test_no_free_vertex_in_state_is_queued(monkeypatch):
     # reads and for the κ sweeps that set up the first closure, one `seen`
     # list per flow path, which are all the closures' searches: each
     # closure starts from the closest cut, whose finished forward side
-    # queues nothing more.
+    # queues nothing more.  A cut read (`_cut`) is named by the side it
+    # finishes, forward for the closest cut and backward for the furthest.
     grow, calls = FlowNetwork._grow, []
 
     def checked_grow(self, side, theirs, limit=None):
@@ -593,7 +594,7 @@ def test_no_free_vertex_in_state_is_queued(monkeypatch):
         met = grow(self, side, theirs, limit)
         assert all(x & 1 or side.link[x >> 1] >= 0 or side.seen[x] == -1
                    for x in side.queue)
-        calls.append((sys._getframe(1).f_code.co_name, side.seen, len(side.queue) - queued))
+        calls.append((grow_caller(self, side), side.seen, len(side.queue) - queued))
         return met
 
     monkeypatch.setattr(FlowNetwork, "_grow", checked_grow)
@@ -606,7 +607,7 @@ def test_no_free_vertex_in_state_is_queued(monkeypatch):
         net.closest_cut_with(excluded=include)
         callers = [caller for caller, _, _ in calls]
         setup = callers.count("_reach_vectors")
-        assert callers == ["closest_cut", "furthest_cut"] + ["_reach_vectors"] * setup + ["closest_cut"] * 2
+        assert callers == ["forward", "backward"] + ["_reach_vectors"] * setup + ["forward"] * 2
         assert len({id(seen) for caller, seen, _ in calls if caller == "_reach_vectors"}) == net.value
         assert net.value and [queued for _, _, queued in calls[-2:]] == [0, 0]
     nones = answers.count(None)

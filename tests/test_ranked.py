@@ -19,6 +19,7 @@ from conftest import (
     THETA,
     band,
     grid,
+    grow_caller,
     nonadjacent_pairs,
     random_connected_graph,
 )
@@ -127,13 +128,14 @@ def test_minimum_stream_runs_no_residual_search_per_emission(monkeypatch):
     # up the closure once, in κ sweeps, each with a `seen` list of its own.
     # Every emission after that is answered from the reach vectors with no
     # residual search, so the sweeps are the same on a band four times as
-    # long and do not grow with the emissions.
+    # long and do not grow with the emissions.  The cut read is named by the
+    # side it finishes, forward for the closest cut.
     grow, calls = FlowNetwork._grow, []
 
     def counted_grow(self, side, theirs, limit=None):
         queued = len(side.queue)
         met = grow(self, side, theirs, limit)
-        calls.append((sys._getframe(1).f_code.co_name, side.seen, len(side.queue) - queued))
+        calls.append((grow_caller(self, side), side.seen, len(side.queue) - queued))
         return met
 
     monkeypatch.setattr(FlowNetwork, "_grow", counted_grow)
@@ -144,7 +146,7 @@ def test_minimum_stream_runs_no_residual_search_per_emission(monkeypatch):
         assert len(list(islice(stream, 300))) == 300  # the first 300 emissions
         callers = [caller for caller, _, _ in calls]
         setup = [seen for caller, seen, _ in calls if caller == "_reach_vectors"]
-        assert callers[:len(setup) + 1] == ["closest_cut"] + ["_reach_vectors"] * len(setup)
+        assert callers[:len(setup) + 1] == ["forward"] + ["_reach_vectors"] * len(setup)
         assert len({id(seen) for seen in setup}) == 3
         assert all(queued == 0 for _, _, queued in calls[len(setup) + 1:])
         calls.clear()
@@ -197,7 +199,7 @@ def test_ranked_cells_and_min_separator_excluding_build_no_graph(monkeypatch):
         for name in ("saturate", "add_star"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(Graph, "_with_adj", refuse)
+    monkeypatch.setattr(Graph, "_of", refuse)
     cases = [band(3, 30), band(4, 12)]
     for seed in range(12):
         g = random_connected_graph(8 + seed % 6, (0.3, 0.45)[seed % 2], 4500 + seed)
