@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
+    _clique_neighbourhood,
     canonical,
     chordless_path_through,
     chordless_path_to_separator,
@@ -34,7 +35,7 @@ from .graph import (
     parse_graph,
 )
 from .important import _iter_important, is_important
-from .mincut import kappa
+from .mincut import _terminal_flow, kappa
 from .ranked import iter_minimum_separators, iter_ranked_separators
 
 EXIT_OK = 0
@@ -120,9 +121,8 @@ def _run(args) -> int:
     if getattr(args, "limit", None) is not None and args.limit < 0:
         raise SepenumError("--limit must be non-negative")
     G = _read_graph(args.file)
-    s, t = G.vertex(args.source), G.vertex(args.target)
-    term = Terminals(s, t)
-    if G.has_edge(s, t):
+    term = Terminals(G.vertex(args.source), G.vertex(args.target))
+    if G.has_edge(*term):
         if args.command == "list-minimal":
             print("BOTTOM", flush=True)
         else:
@@ -157,7 +157,7 @@ def _run(args) -> int:
         minimal = separator and is_minimal_separator(G, term, members)
         important = minimal and is_important(G, term, members)
         # a size-κ separator is minimal; none is when the terminals are apart
-        minimum = minimal and len(members) == kappa(G, term).kappa
+        minimum = minimal and len(members) == _terminal_flow(G, term).value
         report = {"separator": separator, "minimal": minimal,
                   "important": important, "minimum": minimum}
         _print(args.json, report, "\n".join(
@@ -168,7 +168,7 @@ def _run(args) -> int:
     v = G.vertex(args.vertex)
     if v in term:
         raise UnknownLabel("witness vertex must differ from the terminals")
-    if G.n > args.max_n:
+    if G.n > args.max_n and not _clique_neighbourhood(G.adj, v):
         raise SepenumError(f"n={G.n} exceeds --max-n {args.max_n}")
     path = chordless_path_through(G, term, v)
     if path is None:

@@ -250,12 +250,11 @@ def _side_beyond(adj, T: AbstractSet[int], inside: AbstractSet[int],
 
 
 def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
-    """True iff X separates and both terminal components are full."""
+    """True iff X separates and both terminal components are full: one walk each."""
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
-    adj, xset = G.adj, set(members)
-    return (_side_beyond(adj, xset, {term.s}, adj[term.s], term.t) is not None
-            and _boundary(adj, _component(adj, (term.t,), xset)) == xset)
+    return all(_side_beyond(G.adj, set(members), {a}, G.adj[a], b) is not None
+               for a, b in (term, term[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +349,17 @@ def close_separator(G: Graph, term: Terminals) -> Separator:
 
 
 def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
-    """Extract a minimal separator contained in X.
-
-    Deterministic two-step rule: shrink to the boundary of s's component,
-    then to the boundary of t's component of what remains.
-    """
+    """Extract a minimal separator contained in X: shrink to the boundary of
+    s's component of G - X, which avoids t iff X separates, then to the
+    boundary of t's component of what remains, walking each side once to
+    grow it and once to read its boundary."""
     members = canonical(X)
-    if not is_separator(G, term, members):
+    _check_avoids_terminals(G, term, members)
+    adj, comp_s = G.adj, _component(G.adj, (term.s,), set(members))
+    if term.t in comp_s:
         raise SepenumError(f"set {_names(G, members)} does not separate "
                            f"{G.labels[term.s]!r} from {G.labels[term.t]!r}")
-    adj = G.adj
-    side_s = _boundary(adj, _component(adj, (term.s,), set(members)))
-    return canonical(_boundary(adj, _component(adj, (term.t,), side_s)))
+    return canonical(_boundary(adj, _component(adj, (term.t,), _boundary(adj, comp_s))))
 
 
 def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
@@ -378,6 +376,11 @@ def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
             raise SepenumError(f"chord ({G.labels[v]},{G.labels[path[min(ahead)]]})")
 
 
+def _clique_neighbourhood(adj, v: int) -> bool:
+    """True iff N(v) is a clique, as for a pendant v: no chordless path passes v."""
+    return all(adj[v] - {w} <= adj[w] for w in adj[v])
+
+
 def chordless_path_through(G: Graph, term: Terminals, v: int) -> list[int] | None:
     """The first chordless s,t-path through v in depth-first order, or None.
 
@@ -386,15 +389,14 @@ def chordless_path_through(G: Graph, term: Terminals, v: int) -> list[int] | Non
     path that is next to no path vertex before the last; so every path it
     builds is chordless.  It stops at the first path that reaches t with v
     on it.  Such a path exists iff some minimal s,t-separator contains v.
-    A chordless path through v joins two non-adjacent neighbours of v, so
-    when N(v) is a clique, as for a pendant v, it returns None at once.
+    When N(v) is a clique (`_clique_neighbourhood`) it returns None at once.
     """
     _require_ids(G, (*term, v))
     if v in term:
         raise SepenumError(f"vertex {G.labels[v]!r} is a terminal")
     s, t = term
     adj = G.adj
-    if all(adj[v] - {w} <= adj[w] for w in adj[v]):
+    if _clique_neighbourhood(adj, v):
         return None
     path, on_path = [s], {s}
     near = [0] * G.n  # near[x]: the path vertices before the last next to x

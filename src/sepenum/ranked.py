@@ -68,13 +68,11 @@ from .mincut import FlowNetwork, _closest_cut_of, _min_cut, _terminal_flow
 
 
 def _split(S: Separator, include: frozenset) -> Iterator[tuple[int, frozenset]]:
-    """Lawler's children of the cell that emitted S: for each v of S beyond
-    the include-set, v is excluded and the members before it included."""
-    prefix: list[int] = []
-    for v in S:
+    """Lawler's children of the cell that emitted S: for each v = S[i] beyond
+    the include-set, v is excluded and S[:i] joins the include-set."""
+    for i, v in enumerate(S):
         if v not in include:
-            yield v, include | set(prefix)
-            prefix.append(v)
+            yield v, include.union(S[:i])
 
 
 def _lawler(G: Graph, term: Terminals, root: FlowNetwork, flow) -> Iterator[Separator]:

@@ -126,6 +126,24 @@ def test_check_dominated_separator(capsys):
     assert out == "separator true\nminimal true\nimportant false\nminimum true\n"
 
 
+def test_check_reads_kappa_from_its_flow_alone(capsys, monkeypatch, tmp_path):
+    # On a minimal set, is_important runs one flow and κ another; check
+    # reads κ as that flow's value, with no closest cut and no paths.
+    called = []
+    for name in ("closest_cut", "disjoint_paths"):
+        monkeypatch.setattr(sepenum.FlowNetwork, name,
+                            lambda self, name=name: called.append(name))
+    fan = tmp_path / "fan.edges"  # κ = 1 through c, and {a, b} is minimal too
+    fan.write_text("s a\ns b\na c\nb c\nc t\n")
+    for graph, members, minimum in ((DIAMOND, "a,b", "true"), (str(fan), "a,b", "false")):
+        before = flow_call_count()
+        code, out, _ = run(capsys, "check", graph, "-s", "s", "-t", "t", "--set", members)
+        assert code == 0
+        assert out == f"separator true\nminimal true\nimportant true\nminimum {minimum}\n"
+        assert flow_call_count() - before == 2
+    assert called == []
+
+
 def test_check_non_separator_json(capsys):
     code, out, _ = run(capsys, "check", DIAMOND, "-s", "s", "-t", "t",
                        "--set", "a", "--json")
@@ -180,6 +198,20 @@ def test_witness_json_none(capsys, tmp_path):
                        "-v", "d", "--json")
     assert code == 0
     assert json.loads(out) == {"separator": None}
+
+
+def test_witness_answers_a_clique_neighbourhood_before_its_size_guard(capsys, tmp_path):
+    # A pendant p lies on no chordless path, so no search is needed and
+    # --max-n, which guards the search, does not apply.
+    cell = [[f"r{r}c{c}" for c in range(6)] for r in range(6)]
+    edges = [(row[c], row[c + 1]) for row in cell for c in range(5)]
+    edges += [(cell[r][c], cell[r + 1][c]) for r in range(5) for c in range(6)]
+    path = tmp_path / "grid_pendant.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in [*edges, ("r2c2", "p")]))
+    code, out, err = run(capsys, "witness", str(path), "-s", "r0c0", "-t", "r5c5", "-v", "p")
+    assert (code, out, err) == (0, "none\n", "")
+    code, _, err = run(capsys, "witness", str(path), "-s", "r0c0", "-t", "r5c5", "-v", "r2c3")
+    assert (code, err) == (1, "error: n=37 exceeds --max-n 20\n")
 
 
 def test_witness_on_a_path_longer_than_the_recursion_limit(capsys, tmp_path):

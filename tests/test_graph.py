@@ -265,6 +265,25 @@ def test_is_separator_reads_about_the_smaller_side():
         assert g.adj.reads <= 50
 
 
+def test_the_minimality_test_and_minimalize_walk_each_side_of_g_minus_x_once():
+    # On B(3,400) the column 200 steps from s splits G - X into s's side of
+    # 598 vertices and t's of 601.  is_minimal_separator grows each side
+    # once from its terminal and reads n - 3 neighbourhoods; minimalize
+    # grows each side and reads its boundary, 2(n - 3).  Reading t's side
+    # a second time for its boundary, or a separate is_separator walk
+    # before s's component, reads about n/2 more.
+    g, term = band(3, 400)
+    X = tuple(range(2 + 3 * 199, 2 + 3 * 200))
+    g.adj = _CountingAdj(g.adj)
+    for flip in (term, Terminals(*term[::-1])):
+        g.adj.reads = 0
+        assert sp.is_minimal_separator(g, flip, X)
+        assert g.adj.reads <= g.n
+        g.adj.reads = 0
+        assert sp.minimalize(g, flip, X) == X
+        assert g.adj.reads <= 2 * g.n
+
+
 def test_already_separated_terminals_raise_whichever_side_is_larger():
     path = [(v, v + 1) for v in range(2, 11)]
     for edges in ([(0, 2), *path], [(1, 2), *path], [(0, 2), (1, 3)]):

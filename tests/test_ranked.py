@@ -11,6 +11,7 @@ import sepenum.mincut
 import sepenum.ranked
 from sepenum.errors import AlreadySeparated, TerminalsAdjacent
 from sepenum.graph import Graph, Terminals, canonical, parse_graph, saturate
+from sepenum.important import _iter_important
 from sepenum.mincut import FlowNetwork, _min_cut, _terminal_flow, flow_call_count
 
 from conftest import (
@@ -22,7 +23,9 @@ from conftest import (
     grow_caller,
     nonadjacent_pairs,
     random_connected_graph,
+    two_hamiltonian_cycles,
 )
+from golden import inputs
 from oracle import brute_minimal_separators, brute_minimum_separators
 
 
@@ -420,3 +423,34 @@ def test_ranked_equals_the_eager_loop_past_the_oracles():
         assert _emissions_and_flows(lambda: sp.iter_ranked_separators(g, term), limit) == eager
         emitted += len(eager)
     assert emitted > 1500
+
+
+def test_ranked_runs_one_flow_before_its_first_emission_and_at_most_s_after_s():
+    # The delay contract in flow calls: the root flow, then after emitting
+    # S at most one flow per child of S's cell, at most |S| of them; a
+    # child's cut is read when it pops, with no flow.
+    cases = [band(3, 30), band(4, 12), band(2, 200), grid(12), two_hamiltonian_cycles(1000, 5)]
+    g = random_connected_graph(300, 0.015, 4402)
+    cases.append((g, Terminals(0, g.n - 1)))
+    for g, term in cases:
+        stream = _emissions_and_flows(lambda: sp.iter_ranked_separators(g, term), 300)
+        assert len(stream) == 300 and stream[0][1] == 1
+        for (S, _), (_, flows) in zip(stream, stream[1:]):
+            assert flows <= len(S)
+
+
+@pytest.mark.parametrize("stream", [
+    sp.iter_ranked_separators,
+    sp.iter_minimum_separators,
+    lambda g, term: sp.iter_small_minimal(g, term, 3),
+    lambda g, term: _iter_important(g, term, 3),
+], ids=["ranked", "minimum-all", "list-minimal-k3", "important-k3"])
+def test_two_generators_pulled_in_turn_each_give_the_stream_pulled_alone(stream):
+    # Two running generators of one stream on one graph share no state.
+    texts = inputs()
+    for name in ("band_3_30", "band_2_40", "grid_6", "tree_5", "sparse_100_6"):
+        g = parse_graph(texts[name])
+        term = Terminals(g.vertex("s"), g.vertex("t"))
+        alone = list(islice(stream(g, term), 200))
+        assert alone
+        assert list(islice(zip(stream(g, term), stream(g, term)), 200)) == [(S, S) for S in alone]
