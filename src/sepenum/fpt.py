@@ -21,7 +21,8 @@ emission with a new rim builds one unrun network toward C_s, warm from
 the seed root's paths, and each new branching runs its root flow on a
 copy with v added to the sinks (`FlowNetwork._with_sink`).  The filter
 reads no neighbourhood inside X: s's component of G - T is X plus what
-grows from N(X) - T (`graph._side_beyond`).  No t-side walk is needed,
+`graph._walk` grows from N(X) - T without entering X, and T is minimal
+when that walk touches all of T.  No t-side walk is needed,
 as every raw candidate T = removed + C of `important._levels` has
 N(comp_t(T)) = T.  A vertex of the node's cut C ends the prefix of its
 flow path that avoids T, so it is next to the node's source side, which
@@ -37,7 +38,7 @@ from .graph import (
     Graph,
     Separator,
     Terminals,
-    _side_beyond,
+    _walk,
     add_star,  # unused, but bench/test_bench.py patches it here
 )
 from .important import _levels, _root
@@ -77,12 +78,13 @@ def iter_small_minimal(G: Graph, term: Terminals, k: int) -> Iterator[Separator]
         while True:
             for candidates, inside, rim in branched:
                 for T in candidates:  # T avoids X, so its s-side holds X
-                    if T in seen or (grown := _side_beyond(G.adj, set(T), inside, rim, t)) is None:
+                    side = T not in seen and _walk(G.adj, rim, set(T), t, inside)
+                    if not side or len(side[1]) < len(T):  # seen, reaches t or not full
                         continue
                     seen.add(T)
-                    size = len(inside) + len(grown)
+                    size = len(inside) + len(side[0])
                     assert size > comp_size
-                    heappush(queue, (size, T, inside, grown))  # T is unique: no set compares
+                    heappush(queue, (size, T, inside, side[0]))  # T is unique: no set compares
             if not queue:
                 return
             comp_size, S, inside, grown = heappop(queue)

@@ -7,9 +7,12 @@ are immutable: every transformation returns a new Graph, which shares
 with its input every neighbourhood it leaves unchanged (neighbourhoods
 are frozensets, so sharing them is safe).
 
-Adjacency frozensets are the only representation.  Components and
-neighbourhoods of G minus a vertex set, on which every separator
-predicate and construction below rests, are set computations over them.
+Adjacency frozensets are the only representation.  Every separator
+predicate and construction below rests on one question about G minus a
+vertex set X: the component that a walk grows from some vertices, and
+its rim, the members of X it touches.  `_walk` answers it, reading each
+neighbourhood of the component once; `_connected` only asks whether s
+and t are joined, and grows both sides in turn.
 """
 
 from collections import namedtuple
@@ -80,9 +83,6 @@ class Graph:
             return self._label_ids[label]
         except KeyError:
             raise UnknownLabel(f"no vertex labeled {label!r}") from None
-
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -179,14 +179,22 @@ def _check_avoids_terminals(G: Graph, terminals: tuple[int, ...], members) -> No
                            f"{','.join(G.labels[v] for v in terminals)}")
 
 
-def _component(adj, start: Iterable[int], blocked: AbstractSet[int]) -> set[int]:
-    """Vertices reachable from start in the graph minus the set blocked."""
-    comp = set(start) - blocked
-    frontier = comp
+def _walk(adj, start: Iterable[int], blocked: AbstractSet[int], stop: int | None = None,
+          inside: AbstractSet[int] = frozenset()) -> tuple[set[int], set[int]] | None:
+    """Grow, from the members of start outside blocked, the component of G
+    minus blocked, never entering inside; return it with its rim, the
+    members of blocked in start or next to it, or None once it reaches stop.
+    It reads the neighbourhood of each vertex of the component once."""
+    comp = frontier = set(start) - blocked
+    rim = blocked.intersection(start)
     while frontier:
-        frontier = set().union(*[adj[v] for v in frontier]) - comp - blocked
+        if stop in frontier:
+            return None
+        around = set().union(*[adj[v] for v in frontier])
+        rim |= around & blocked
+        frontier = around - blocked - inside - comp
         comp |= frontier
-    return comp
+    return comp, rim
 
 
 def _connected(adj, s: int, t: int, blocked: AbstractSet[int]) -> bool:
@@ -209,18 +217,13 @@ def _connected(adj, s: int, t: int, blocked: AbstractSet[int]) -> bool:
     return False
 
 
-def _boundary(adj, comp: AbstractSet[int]) -> set[int]:
-    """N(comp): the neighbours of the set comp outside it."""
-    return set().union(*[adj[v] for v in comp]) - comp
-
-
 def component_of(G: Graph, removed: Iterable[int], v: int) -> frozenset:
     """Connected component of v in G minus the removed vertices."""
     removed = set(removed)
     _require_ids(G, (*removed, v))
     if v in removed:
         raise SepenumError(f"vertex {G.labels[v]!r} is removed")
-    return frozenset(_component(G.adj, (v,), removed))
+    return frozenset(_walk(G.adj, (v,), removed)[0])
 
 
 def is_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
@@ -230,30 +233,13 @@ def is_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
     return not _connected(G.adj, *term, set(members))
 
 
-def _side_beyond(adj, T: AbstractSet[int], inside: AbstractSet[int],
-                 rim: AbstractSet[int], t: int) -> set[int] | None:
-    """The rest of the component of G minus T that holds `inside`, when it
-    avoids t and has N = T; else None.  `inside` is connected and avoids T,
-    and rim = N(inside): the component grows from rim - T, and a member of
-    T is next to it when it is in rim or next to the growth, so no
-    neighbourhood inside `inside` is read."""
-    grown = frontier = rim - T
-    hit = rim & T
-    while frontier:
-        if t in frontier:
-            return None
-        around = set().union(*[adj[v] for v in frontier])
-        hit |= around & T
-        frontier = around - T - inside - grown
-        grown |= frontier
-    return grown if len(hit) == len(T) else None
-
-
 def is_minimal_separator(G: Graph, term: Terminals, X: Iterable[int]) -> bool:
-    """True iff X separates and both terminal components are full: one walk each."""
+    """True iff X separates and both terminal components are full: one walk
+    from each terminal, whose rim is all of X."""
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
-    return all(_side_beyond(G.adj, set(members), {a}, G.adj[a], b) is not None
+    blocked = set(members)
+    return all((side := _walk(G.adj, (a,), blocked, b)) and side[1] == blocked
                for a, b in (term, term[::-1]))
 
 
@@ -281,7 +267,7 @@ def saturate(G: Graph, U: Iterable[int]) -> Graph:
             frontier = set().union(*[G.adj[v] for v in frontier]) & members
             members -= frontier
             comp |= frontier
-        closed = _boundary(G.adj, comp) | comp
+        closed = comp.union(*[G.adj[v] for v in comp])  # N[C]
         for x in closed:
             grow = closed - {x} - adj[x]
             if grow:
@@ -349,17 +335,16 @@ def close_separator(G: Graph, term: Terminals) -> Separator:
 
 
 def minimalize(G: Graph, term: Terminals, X: Iterable[int]) -> Separator:
-    """Extract a minimal separator contained in X: shrink to the boundary of
-    s's component of G - X, which avoids t iff X separates, then to the
-    boundary of t's component of what remains, walking each side once to
-    grow it and once to read its boundary."""
+    """Extract a minimal separator contained in X: shrink to the rim of s's
+    component of G - X, which avoids t iff X separates, then to the rim of
+    t's component of G minus that rim, reading each side once."""
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
-    adj, comp_s = G.adj, _component(G.adj, (term.s,), set(members))
-    if term.t in comp_s:
+    side_s = _walk(G.adj, (term.s,), set(members), term.t)
+    if side_s is None:
         raise SepenumError(f"set {_names(G, members)} does not separate "
                            f"{G.labels[term.s]!r} from {G.labels[term.t]!r}")
-    return canonical(_boundary(adj, _component(adj, (term.t,), _boundary(adj, comp_s))))
+    return canonical(_walk(G.adj, (term.t,), side_s[1])[1])
 
 
 def _validate_chordless_path(G: Graph, term: Terminals, path) -> None:
@@ -428,10 +413,10 @@ def chordless_path_to_separator(
     """Turn a chordless s,t-path through v into a minimal separator containing v.
 
     With P the part of the path before v and C the component of the part
-    after v in G minus N(P), the result is N(C).  This is the close
-    separator of the graph in which P is contracted into s and the rest
-    of the path after v into t; it contains v, which neighbours both
-    parts, and it is a minimal s,t-separator of G.
+    after v in G minus N(P), the result is N(C), the rim of C's walk.  This
+    is the close separator of the graph in which P is contracted into s and
+    the rest of the path after v into t; it contains v, which neighbours
+    both parts, and it is a minimal s,t-separator of G.
     """
     _require_ids(G, (*term, *path, v))
     _validate_chordless_path(G, term, path)
@@ -440,8 +425,8 @@ def chordless_path_to_separator(
     if v not in path:
         raise SepenumError(f"vertex {G.labels[v]!r} not on path")
     idx = path.index(v)
-    adj = G.adj
-    prefix_nbrs = _boundary(adj, set(path[:idx]))
-    result = canonical(_boundary(adj, _component(adj, path[idx + 1:], prefix_nbrs)))
+    prefix = set(path[:idx])
+    blocked = prefix.union(*[G.adj[u] for u in prefix]) - prefix  # N(P)
+    result = canonical(_walk(G.adj, path[idx + 1:], blocked)[1])
     assert v in result
     return result

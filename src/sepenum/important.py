@@ -46,8 +46,8 @@ from .graph import (
     Separator,
     Terminals,
     _check_avoids_terminals,
-    _component,
     _require_separable,
+    _walk,
     canonical,
 )
 from .mincut import FlowNetwork, _min_cut
@@ -63,8 +63,8 @@ def is_important(G: Graph, term: Terminals, X) -> bool:
     """
     members = canonical(X)
     _check_avoids_terminals(G, term, members)
-    R = _component(G.adj, (term.t,), set(members))
-    return term.s not in R and _min_cut(G, R, (term.s,)).furthest_cut() == members
+    side = _walk(G.adj, (term.t,), set(members), term.s)
+    return side is not None and _min_cut(G, side[0], (term.s,)).furthest_cut() == members
 
 
 def _root(G: Graph, term: Terminals, k: int) -> tuple[int, FlowNetwork]:
@@ -114,7 +114,7 @@ def _levels(G: Graph, k: int, root: FlowNetwork) -> Iterator[dict[Separator, boo
             T = removed.union(cut)
             levels[size][T] = levels[size].get(T, False) or not removed
             if size < k:  # else every absorb child is over budget
-                reach = above | _component(G.adj, start, above.union(removed, cut))
+                reach = above | _walk(G.adj, start, above.union(removed, cut))[0]
                 paths = net.disjoint_paths()
                 for j, v in enumerate(cut):
                     if G.adj[v].isdisjoint(sinks):  # reach is never next to one

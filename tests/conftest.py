@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
@@ -56,6 +57,28 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
         if is_connected(G):
             return G
     raise AssertionError("unreachable")
+
+
+def bfs_side(adj, start, blocked, inside=()) -> tuple[set, set]:
+    """A plain queue BFS, written apart from sepenum: the vertices reached
+    from the members of start outside blocked without entering blocked or
+    inside, and the members of blocked in start or next to one of them."""
+    comp = {v for v in start if v not in blocked}
+    queue = deque(comp)
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in comp and w not in blocked and w not in inside:
+                comp.add(w)
+                queue.append(w)
+    rim = {v for v in start if v in blocked}
+    rim.update(w for v in comp for w in adj[v] if w in blocked)
+    return comp, rim
+
+
+def neighbourhood(adj, vertices) -> set:
+    """N(vertices): the neighbours of the set outside it."""
+    members = set(vertices)
+    return {w for v in members for w in adj[v]} - members
 
 
 def band(width: int, length: int) -> tuple[Graph, Terminals]:

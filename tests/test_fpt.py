@@ -5,7 +5,7 @@ import pytest
 import sepenum as sp
 from sepenum import fpt, important, mincut
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
-from sepenum.graph import Graph, Terminals, _boundary, _component, parse_graph
+from sepenum.graph import Graph, Terminals, parse_graph
 from sepenum.mincut import _min_cut, flow_call_count
 
 from conftest import (
@@ -13,7 +13,9 @@ from conftest import (
     P4,
     THETA,
     band,
+    bfs_side,
     grid,
+    neighbourhood,
     nonadjacent_pairs,
     pop_key,
     random_connected_graph,
@@ -120,18 +122,19 @@ def test_rewired_graphs_have_only_minimal_separators_of_g_with_larger_keys():
 def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     g, term = band(3, 30)
     seen, tested, offered = set(), [], []
-    side_beyond, levels = fpt._side_beyond, fpt._levels
+    walk, levels = fpt._walk, fpt._levels
 
-    def spy(adj, T, inside, rim, t):
-        assert adj is g.adj and t == term.t
-        T = tuple(sorted(T))
+    def spy(adj, rim, blocked, stop, inside):
+        assert adj is g.adj and stop == term.t
+        T = tuple(sorted(blocked))
         assert T not in seen  # no emission is tested again
-        grown = side_beyond(adj, set(T), inside, rim, t)
-        assert (grown is not None) == sp.is_minimal_separator(g, term, T)
+        side = walk(adj, rim, blocked, stop, inside)
+        minimal = side is not None and side[1] == blocked
+        assert minimal == sp.is_minimal_separator(g, term, T)
         tested.append(T)
-        if grown is not None:
+        if minimal:
             seen.add(T)
-        return grown
+        return side
 
     def counted_levels(H, k, root):
         for level in levels(H, k, root):
@@ -141,7 +144,7 @@ def test_list_minimal_tests_minimality_only_for_unseen_candidates(monkeypatch):
     def refuse(*args):
         raise AssertionError("list-minimal runs no importance test")
 
-    monkeypatch.setattr(fpt, "_side_beyond", spy)
+    monkeypatch.setattr(fpt, "_walk", spy)
     monkeypatch.setattr(fpt, "_levels", counted_levels)
     monkeypatch.setattr(important, "is_important", refuse)
     monkeypatch.setattr(important, "enumerate_important", refuse)
@@ -262,7 +265,7 @@ def test_list_minimal_builds_one_network_per_emission_and_filters_on_the_boundar
     # sink set X it grows from
     g, term = band(3, 30)
     built, read, read_inside = [0], [], []
-    init, side_beyond = mincut.FlowNetwork.__init__, fpt._side_beyond
+    init, walk = mincut.FlowNetwork.__init__, fpt._walk
 
     def counted_init(self, *args, **kwargs):
         built[0] += 1
@@ -278,11 +281,11 @@ def test_list_minimal_builds_one_network_per_emission_and_filters_on_the_boundar
                 read_inside.append(v)
             return g.adj[v]
 
-    def spy(adj, T, inside, rim, t):
-        return side_beyond(Reads(inside), T, inside, rim, t)
+    def spy(adj, rim, blocked, stop, inside):
+        return walk(Reads(inside), rim, blocked, stop, inside)
 
     monkeypatch.setattr(mincut.FlowNetwork, "__init__", counted_init)
-    monkeypatch.setattr(fpt, "_side_beyond", spy)
+    monkeypatch.setattr(fpt, "_walk", spy)
     emitted = len(list(fpt.iter_small_minimal(g, term, 3)))
     assert emitted == 260 and built[0] <= emitted + 1
     assert len(read) > emitted and read_inside == []
@@ -317,7 +320,7 @@ def test_every_raw_candidate_is_the_boundary_of_its_t_side(monkeypatch):
         for level in levels(H, k, root):
             for T in level:
                 blocked = set(T)
-                assert _boundary(H.adj, _component(H.adj, (term.t,), blocked)) == blocked
+                assert neighbourhood(H.adj, bfs_side(H.adj, (term.t,), blocked)[0]) == blocked
                 checked[0] += 1
             yield level
 
@@ -360,21 +363,21 @@ def test_list_minimal_branches_each_sink_set_once(monkeypatch):
         g = random_connected_graph(n, (3.0, 3.5, 4.0)[seed % 3] / n, 2100 + seed)
         cases += [((g, term), 3 + seed % 3) for term in nonadjacent_pairs(g)[seed::97][:2]]
     sink_sets, rims = [], []
-    with_sink, side_beyond = mincut.FlowNetwork._with_sink, fpt._side_beyond
+    with_sink, walk = mincut.FlowNetwork._with_sink, fpt._walk
 
     def recorded_with_sink(self, v):
         net = with_sink(self, v)
         sink_sets.append(frozenset(net.sinks))
         return net
 
-    def checked_side_beyond(adj, T, inside, rim, t):
+    def checked_walk(adj, rim, blocked, stop, inside):
         assert sp.component_of(g, rim, term.s) == inside
-        assert _boundary(adj, inside) == rim
+        assert neighbourhood(adj, inside) == rim
         rims.append(rim)
-        return side_beyond(adj, T, inside, rim, t)
+        return walk(adj, rim, blocked, stop, inside)
 
     monkeypatch.setattr(mincut.FlowNetwork, "_with_sink", recorded_with_sink)
-    monkeypatch.setattr(fpt, "_side_beyond", checked_side_beyond)
+    monkeypatch.setattr(fpt, "_walk", checked_walk)
     copies = []
     for (g, term), k in cases:
         assert g.n <= 120
@@ -382,7 +385,7 @@ def test_list_minimal_branches_each_sink_set_once(monkeypatch):
         emitted = list(fpt.iter_small_minimal(g, term, k))
         assert len(set(sink_sets)) == len(sink_sets)
         for X in sink_sets:
-            assert sp.component_of(g, _boundary(g.adj, X), term.s) == X
+            assert sp.component_of(g, neighbourhood(g.adj, X), term.s) == X
         copies.append(len(sink_sets))
         if len(copies) == 1:
             assert len(emitted) == 260 and copies == [565]  # 766 with repeats

@@ -1,19 +1,22 @@
+import ast
 import inspect
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepenum as sp
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
-from sepenum.graph import Graph, Terminals, _component, _require_separable, absorb, parse_graph
+from sepenum.graph import Graph, Terminals, _require_separable, _walk, absorb, parse_graph
 
 from conftest import (
     DIAMOND,
     P4,
     THETA,
     band,
+    bfs_side,
     grid,
     nonadjacent_pairs,
     random_connected_graph,
@@ -228,10 +231,27 @@ def test_is_separator_agrees_with_a_one_sided_search():
             near_s, near_t = sorted(g.adj[s] - {t}), sorted(g.adj[t] - {s})
             both = rng.sample(near_s, len(near_s) // 2) + rng.sample(near_t, len(near_t) // 2)
             for X in (rng.sample(inner, rng.randint(0, len(inner))), near_s, near_t, both):
-                expected = t not in _component(g.adj, (s,), set(X))
+                expected = t not in bfs_side(g.adj, (s,), set(X))[0]
                 assert sp.is_separator(g, Terminals(s, t), X) == expected
                 answers.append(expected)
     assert answers.count(True) > 300 and answers.count(False) > 300
+
+
+_VERTEX_SETS = st.sets(st.integers(0, 15), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), start=_VERTEX_SETS, blocked=_VERTEX_SETS,
+       inside=_VERTEX_SETS, stop=st.none() | st.integers(0, 15))
+# start meets blocked at 1, and inside keeps the walk off 4 and 5, so it
+# never reaches 7 and 15 and 3 stays off the rim; 14 it reaches
+@example(seed=1, start={0, 1}, blocked={1, 2, 3}, inside={4, 5}, stop=7)
+@example(seed=1, start={0, 1}, blocked={1, 2, 3}, inside={4, 5}, stop=14)
+def test_walk_agrees_with_a_plain_bfs(seed, start, blocked, inside, stop):
+    g = random_graph(16, (0.1, 0.2, 0.35)[seed % 3], seed)
+    comp, rim = bfs_side(g.adj, start, blocked, inside)
+    expected = None if stop in comp else (comp, rim)
+    assert _walk(g.adj, sorted(start), blocked, stop, inside) == expected
 
 
 class _CountingAdj(tuple):
@@ -268,10 +288,13 @@ def test_is_separator_reads_about_the_smaller_side():
 def test_the_minimality_test_and_minimalize_walk_each_side_of_g_minus_x_once():
     # On B(3,400) the column 200 steps from s splits G - X into s's side of
     # 598 vertices and t's of 601.  is_minimal_separator grows each side
-    # once from its terminal and reads n - 3 neighbourhoods; minimalize
-    # grows each side and reads its boundary, 2(n - 3).  Reading t's side
+    # once from its terminal and reads n - 3 neighbourhoods; so does
+    # minimalize, which takes each side's boundary from the walk that grows
+    # it, and close_separator adds its separability check.  Reading a side
     # a second time for its boundary, or a separate is_separator walk
-    # before s's component, reads about n/2 more.
+    # before s's component, reads about n/2 more.  Along row 0 with v at
+    # column 200, chordless_path_to_separator reads the path, the prefix
+    # before v and the component after it once each.
     g, term = band(3, 400)
     X = tuple(range(2 + 3 * 199, 2 + 3 * 200))
     g.adj = _CountingAdj(g.adj)
@@ -281,7 +304,16 @@ def test_the_minimality_test_and_minimalize_walk_each_side_of_g_minus_x_once():
         assert g.adj.reads <= g.n
         g.adj.reads = 0
         assert sp.minimalize(g, flip, X) == X
+        assert g.adj.reads <= g.n
+        g.adj.reads = 0
+        assert sp.close_separator(g, flip) == tuple(sorted(g.adj[flip.s]))
         assert g.adj.reads <= 2 * g.n
+    row = [term.s, *range(2, 2 + 3 * 400, 3), term.t]
+    v = 2 + 3 * 200
+    g.adj.reads = 0
+    S = sp.chordless_path_to_separator(g, term, row, v)
+    assert g.adj.reads <= 2_000
+    assert sp.is_minimal_separator(g, term, S) and v in S
 
 
 def test_already_separated_terminals_raise_whichever_side_is_larger():
@@ -501,6 +533,22 @@ def test_terminal_queries_cover_every_public_function_that_takes_terminals():
     assert _takes_terminals(oracle) == set(_ORACLE_QUERIES)
 
 
+def test_every_private_function_in_src_is_referenced_there():
+    # A private function or method that no module of the package names is
+    # left over from a deletion.  Terminals._make overrides the named
+    # tuple's and is reached through _replace, which names it nowhere.
+    modules = sorted(Path(sp.__file__).parent.glob("*.py"))
+    nodes = [node for path in modules for node in ast.walk(ast.parse(path.read_text()))]
+    private = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert len(modules) > 5 and len(private) > 20
+    assert private - named - {"_make"} == set()
+
+
 def test_the_package_exports_only_the_engine():
     public = sorted(name for name, value in vars(sp).items()
                     if not name.startswith("_") and not inspect.ismodule(value))
@@ -567,12 +615,12 @@ def test_close_separator_is_unique_minimal_inside_ns(seed):
     g = random_connected_graph(4 + seed % 7, 0.35, seed)
     for term in nonadjacent_pairs(g):
         close = sp.close_separator(g, term)
-        assert set(close) <= set(g.neighbors(term.s))
+        assert set(close) <= set(g.adj[term.s])
         assert sp.is_minimal_separator(g, term, close)
         inside = {
             X
             for X in brute_minimal_separators(g, term)
-            if set(X) <= set(g.neighbors(term.s))
+            if set(X) <= set(g.adj[term.s])
         }
         assert inside == {close}
 

@@ -9,7 +9,7 @@ import sepenum as sp
 from sepenum import important, mincut
 from sepenum.cli import main
 from sepenum.errors import AlreadySeparated, SepenumError, TerminalsAdjacent
-from sepenum.graph import Graph, Terminals, _component, canonical, parse_graph
+from sepenum.graph import Graph, Terminals, canonical, parse_graph
 from sepenum.important import _iter_important, _levels
 from sepenum.mincut import _min_cut, flow_call_count
 
@@ -18,6 +18,7 @@ from conftest import (
     P4,
     THETA,
     band,
+    bfs_side,
     nonadjacent_pairs,
     random_connected_graph,
     random_graph,
@@ -152,7 +153,7 @@ def _two_way_candidates(G: Graph, sources: frozenset, sink: int, removed: frozen
     cut = net.furthest_cut()
     v = cut[0]
     _two_way_candidates(G, sources, sink, removed | {v}, budget - 1, committed | {v}, out)
-    reach = _component(G.adj, sources - removed, removed.union(cut))
+    reach, _ = bfs_side(G.adj, sources - removed, removed.union(cut))
     _two_way_candidates(G, frozenset(reach | {v}), sink, removed, budget, committed, out)
 
 
@@ -206,7 +207,7 @@ def _check_absorb_children(G: Graph, sources, sink: int, removed: frozenset,
     if not 0 < lam <= cap - len(removed):
         return 0
     cut = net.furthest_cut()
-    reach = _component(G.adj, sources, removed.union(cut))
+    reach, _ = bfs_side(G.adj, sources, removed.union(cut))
     checked = 0
     for j, v in enumerate(cut):
         if sink in G.adj[v]:

@@ -169,7 +169,7 @@ def test_flow_network_set_source_cuts_match_brute():
         g = random_connected_graph(7, 0.35, 2000 + seed)
         t = g.n - 1
         for A in itertools.combinations(range(g.n - 1), 2):
-            amask = set(A) | set().union(*(g.neighbors(a) for a in A))
+            amask = set(A) | set().union(*(g.adj[a] for a in A))
             if t in amask:
                 continue
             free = [v for v in range(g.n) if v != t and v not in A]
